@@ -2,17 +2,33 @@
 // and the BDD package.
 #include <benchmark/benchmark.h>
 
+#include <unordered_set>
+
 #include "mps.hpp"
 
 namespace {
 
 using namespace mps;
 
+/// Each code is ON with probability on_p, OFF with off_p, else don't-care.
+/// The codes are every code up to 10 variables; above that, 1024 distinct
+/// random ones — next-state functions of the largest Table-1 final graphs
+/// (mr0: 17 signals, 1094 states) are that sparse.
 logic::SopSpec random_spec(std::uint64_t seed, std::size_t vars, double on_p, double off_p) {
   util::Rng rng(seed);
+  std::vector<std::uint64_t> codes;
+  if (vars <= 10) {
+    for (std::uint64_t x = 0; x < (std::uint64_t{1} << vars); ++x) codes.push_back(x);
+  } else {
+    std::unordered_set<std::uint64_t> seen;
+    while (seen.size() < 1024) {
+      const std::uint64_t x = rng.below(std::uint64_t{1} << vars);
+      if (seen.insert(x).second) codes.push_back(x);
+    }
+  }
   logic::SopSpec spec;
   spec.num_vars = vars;
-  for (std::uint64_t x = 0; x < (std::uint64_t{1} << vars); ++x) {
+  for (const std::uint64_t x : codes) {
     util::BitVec c(vars);
     for (std::size_t v = 0; v < vars; ++v) c.set(v, (x >> v) & 1);
     const double dice = rng.uniform();
@@ -32,7 +48,8 @@ void BM_HeuristicMinimize(benchmark::State& state) {
     benchmark::DoNotOptimize(f.literal_count());
   }
 }
-BENCHMARK(BM_HeuristicMinimize)->Arg(6)->Arg(8)->Arg(10);
+// 17 variables is the Table-1 maximum (mr0's final graph).
+BENCHMARK(BM_HeuristicMinimize)->Arg(6)->Arg(8)->Arg(10)->Arg(14)->Arg(17);
 
 void BM_ExactMinimize(benchmark::State& state) {
   const auto spec = random_spec(11, static_cast<std::size_t>(state.range(0)), 0.35, 0.4);
@@ -77,6 +94,7 @@ void BM_DeriveAllLogic(benchmark::State& state, const char* name) {
 }
 BENCHMARK_CAPTURE(BM_DeriveAllLogic, mmu1, "mmu1");
 BENCHMARK_CAPTURE(BM_DeriveAllLogic, atod, "atod");
+BENCHMARK_CAPTURE(BM_DeriveAllLogic, mr0, "mr0");  // the largest logic row
 
 void BM_BddFromMinterms(benchmark::State& state) {
   const auto g = sg::StateGraph::from_stg(benchmarks::find_benchmark("mmu0")->make());

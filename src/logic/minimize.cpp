@@ -19,15 +19,67 @@ bool cube_hits_off(const Cube& cube, const std::vector<util::BitVec>& off) {
   return false;
 }
 
+/// The OFF set sliced by literal: slice (v, b) is a bitset over OFF indices
+/// with bit j set iff off[j][v] == b.  OFF minterm j lies in a cube iff bit
+/// j is set in the slice of every literal of the cube, so "cube hits OFF" is
+/// the AND of its literals' slices, tested for non-zero.  Built once per
+/// heuristic_minimize call: 2·num_vars·|OFF| bits.
+class OffSlices {
+ public:
+  explicit OffSlices(const SopSpec& spec)
+      : num_vars_(spec.num_vars),
+        words_((spec.off.size() + 63) / 64),
+        last_word_mask_(spec.off.size() % 64 == 0
+                            ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << (spec.off.size() % 64)) - 1),
+        slices_(2 * spec.num_vars * words_, 0) {
+    for (std::size_t j = 0; j < spec.off.size(); ++j) {
+      const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+      for (std::size_t v = 0; v < num_vars_; ++v) {
+        slices_[slice(v, spec.off[j].test(v)) + j / 64] |= bit;
+      }
+    }
+  }
+
+  /// Would `cube` with the literal on `var` removed contain an OFF minterm?
+  bool widened_hits(const Cube& cube, std::size_t var) {
+    if (words_ == 0) return false;  // empty OFF set: there are no slices
+    literal_slices_.clear();
+    for (std::size_t v = 0; v < num_vars_; ++v) {
+      if (v == var) continue;
+      if (const auto value = cube.literal(v); value.has_value()) {
+        literal_slices_.push_back(&slices_[slice(v, *value)]);
+      }
+    }
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t acc = w + 1 == words_ ? last_word_mask_ : ~std::uint64_t{0};
+      for (const std::uint64_t* s : literal_slices_) {
+        acc &= s[w];
+        if (acc == 0) break;
+      }
+      if (acc != 0) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::size_t slice(std::size_t var, bool value) const {
+    return (2 * var + (value ? 1 : 0)) * words_;
+  }
+
+  std::size_t num_vars_;
+  std::size_t words_;
+  std::uint64_t last_word_mask_;
+  std::vector<std::uint64_t> slices_;
+  std::vector<const std::uint64_t*> literal_slices_;  // scratch for widened_hits
+};
+
 /// Expand: free literals in the given variable order while the cube stays
 /// disjoint from OFF.  Produces a prime cube.
-Cube expand_cube(Cube cube, const std::vector<util::BitVec>& off,
+Cube expand_cube(Cube cube, const WidenedHitsOff& hits_off,
                  const std::vector<std::size_t>& var_order) {
   for (const std::size_t v : var_order) {
-    if (!cube.has_literal(v)) continue;
-    Cube widened = cube;
-    widened.free_var(v);
-    if (!cube_hits_off(widened, off)) cube = std::move(widened);
+    if (cube.has_literal(v) && !hits_off(cube, v)) cube.free_var(v);
   }
   return cube;
 }
@@ -122,6 +174,12 @@ Cover reduce(const Cover& cover, const std::vector<util::BitVec>& on) {
 }  // namespace
 
 Cover heuristic_minimize(const SopSpec& spec, int loops) {
+  OffSlices off(spec);
+  return heuristic_minimize(
+      spec, loops, [&off](const Cube& cube, std::size_t var) { return off.widened_hits(cube, var); });
+}
+
+Cover heuristic_minimize(const SopSpec& spec, int loops, const WidenedHitsOff& hits_off) {
   Cover cover(spec.num_vars);
   if (spec.on.empty()) return cover;
 
@@ -138,7 +196,7 @@ Cover heuristic_minimize(const SopSpec& spec, int loops) {
     // EXPAND
     Cover expanded(spec.num_vars);
     for (const Cube& c : cover.cubes()) {
-      const Cube prime = expand_cube(c, spec.off, forward ? order : reversed);
+      const Cube prime = expand_cube(c, hits_off, forward ? order : reversed);
       // Skip if already contained in an expanded cube.
       bool contained = false;
       for (const Cube& e : expanded.cubes()) {
@@ -198,7 +256,8 @@ Cube implicant_to_cube(const Implicant& imp, std::size_t num_vars) {
 }
 
 /// Branch-and-bound unate covering: rows = ON minterms, cols = primes,
-/// cost = literal count.  Returns selected column indices.
+/// cost = literal count.  Returns selected column indices, or nullopt when
+/// the search hit the node limit before proving its best cover minimum.
 class CoveringSolver {
  public:
   CoveringSolver(std::size_t num_rows, std::vector<std::vector<std::uint32_t>> col_rows,
@@ -218,13 +277,16 @@ class CoveringSolver {
     std::vector<std::uint32_t> chosen;
     best_cost_ = std::numeric_limits<int>::max();
     branch(covered, chosen, 0);
-    if (nodes_ >= max_nodes_ && best_.empty() && num_rows_ > 0) return std::nullopt;
+    if (cut_short_) return std::nullopt;
     return best_;
   }
 
  private:
   void branch(std::vector<bool>& covered, std::vector<std::uint32_t>& chosen, int cost) {
-    if (++nodes_ >= max_nodes_ && !best_.empty()) return;
+    if (++nodes_ >= max_nodes_) {
+      cut_short_ = true;
+      return;
+    }
     if (cost >= best_cost_) return;
     // Find the uncovered row with the fewest candidate columns.
     std::uint32_t pick = 0xFFFFFFFFu;
@@ -260,7 +322,7 @@ class CoveringSolver {
       branch(covered, chosen, cost + col_cost_[c]);
       chosen.pop_back();
       for (const std::uint32_t r : newly) covered[r] = false;
-      if (nodes_ >= max_nodes_ && !best_.empty()) return;
+      if (cut_short_) return;
     }
   }
 
@@ -274,6 +336,7 @@ class CoveringSolver {
   std::vector<std::vector<std::uint32_t>> row_cols_;
   std::int64_t max_nodes_;
   std::int64_t nodes_ = 0;
+  bool cut_short_ = false;
   int best_cost_ = 0;
   std::vector<std::uint32_t> best_;
 };

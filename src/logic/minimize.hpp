@@ -1,14 +1,20 @@
 // Two-level single-output minimization, replacing the paper's use of
 // `espresso -Dso -S1`:
-//   * a heuristic EXPAND / IRREDUNDANT / REDUCE loop (espresso-style), and
+//   * a heuristic EXPAND / IRREDUNDANT / REDUCE loop (espresso-style) —
+//     what minimize() runs by default.  EXPAND asks its "does this cube hit
+//     OFF?" question of a bit-sliced OFF set (one bitset over the OFF
+//     minterms per literal), so each test is a few word-wide ANDs; and
 //   * an exact Quine-McCluskey + branch-and-bound covering path for
-//     functions small enough to enumerate the don't-care set.
+//     functions small enough to enumerate the don't-care set — opt-in via
+//     MinimizeOptions::try_exact, and the oracle the tests hold the
+//     heuristic against.
 //
 // Functions are specified by explicit ON and OFF minterm lists; everything
 // else is a don't-care (exactly the situation for next-state functions
 // extracted from a state graph, where unreachable codes are free).
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -24,8 +30,11 @@ struct SopSpec {
 };
 
 struct MinimizeOptions {
-  /// Attempt the exact path when the variable count permits DC enumeration.
-  bool try_exact = true;
+  /// Also run the exact path (when the variable count permits DC
+  /// enumeration) and keep it when it has strictly fewer literals.  Off by
+  /// default: on every Table-1 function it either gives up at its limits or
+  /// ties the heuristic, at up to half the flow's run time.
+  bool try_exact = false;
   std::size_t exact_max_vars = 14;
   std::size_t exact_max_primes = 20000;
   std::int64_t exact_max_branch_nodes = 200000;
@@ -33,16 +42,25 @@ struct MinimizeOptions {
 };
 
 /// Minimize; returns a prime irredundant cover of ON against OFF (cubes may
-/// use the don't-care space).  Picks the better of the heuristic and exact
-/// results by literal count when both are available.
+/// use the don't-care space).  The heuristic result, or with `try_exact`
+/// the better of the heuristic and exact results by literal count.
 Cover minimize(const SopSpec& spec, const MinimizeOptions& opts = {});
 
 /// The espresso-style heuristic loop only.
 Cover heuristic_minimize(const SopSpec& spec, int loops = 4);
 
+/// EXPAND's question: would `cube` with the literal on `var` removed
+/// contain some OFF minterm?
+using WidenedHitsOff = std::function<bool(const Cube& cube, std::size_t var)>;
+
+/// The heuristic loop with a caller-supplied EXPAND test.  heuristic_minimize
+/// passes the bit-sliced one; tests pass a scalar scan of the OFF list.
+Cover heuristic_minimize(const SopSpec& spec, int loops, const WidenedHitsOff& hits_off);
+
 /// Exact Quine-McCluskey + covering.  nullopt if the instance exceeds the
-/// configured limits (too many variables/primes) — never silently
-/// approximate: callers fall back to the heuristic result.
+/// configured limits (too many variables/primes, or the covering search
+/// cut short at exact_max_branch_nodes) — never silently approximate:
+/// callers fall back to the heuristic result.
 std::optional<Cover> exact_minimize(const SopSpec& spec, const MinimizeOptions& opts = {});
 
 /// Validation (used by tests and verify::): cover contains every ON minterm

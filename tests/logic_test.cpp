@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <unordered_set>
+
 #include "logic/cover.hpp"
 #include "logic/cube.hpp"
 #include "logic/extract.hpp"
@@ -219,11 +223,96 @@ TEST(Minimize, EmptyOnSetGivesEmptyCover) {
   EXPECT_TRUE(minimize(spec).empty());
 }
 
+/// `points` distinct random codes over `vars` variables, each ON with
+/// probability `on_share` and OFF otherwise.
+SopSpec sparse_spec(mps::util::Rng& rng, std::size_t vars, std::size_t points, double on_share) {
+  SopSpec spec;
+  spec.num_vars = vars;
+  std::unordered_set<BitVec, mps::util::BitVecHash> seen;
+  while (seen.size() < points) {
+    BitVec c(vars);
+    for (std::size_t v = 0; v < vars; ++v) c.set(v, rng.chance(0.5));
+    if (!seen.insert(c).second) continue;
+    (rng.chance(on_share) ? spec.on : spec.off).push_back(c);
+  }
+  return spec;
+}
+
+TEST(Minimize, DefaultIsHeuristicOnly) {
+  EXPECT_FALSE(MinimizeOptions{}.try_exact);
+  MinimizeOptions with_exact;
+  with_exact.try_exact = true;
+  mps::util::Rng rng(11);
+  std::size_t exact_differs = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const SopSpec spec = sparse_spec(rng, 5, 24, 0.45);
+    if (spec.on.empty()) continue;
+    const Cover heur = heuristic_minimize(spec);
+    EXPECT_EQ(minimize(spec).to_string(), heur.to_string()) << "trial " << trial;
+    if (minimize(spec, with_exact).to_string() != heur.to_string()) ++exact_differs;
+  }
+  // The opt-in exact path does change some of these covers, so the equality
+  // above is the default's doing.
+  EXPECT_GT(exact_differs, 0u);
+}
+
+/// EXPAND's OFF test as a plain scan: widen the cube, then look for an OFF
+/// minterm inside it with contains_code.  The reference for the bit-sliced
+/// OFF set heuristic_minimize uses.
+bool scalar_widened_hits_off(const SopSpec& spec, const Cube& cube, std::size_t var) {
+  Cube widened = cube;
+  widened.free_var(var);
+  for (const auto& code : spec.off) {
+    if (widened.contains_code(code)) return true;
+  }
+  return false;
+}
+
+TEST(Minimize, SlicedExpandMatchesScalarScan) {
+  mps::util::Rng rng(2025);
+  std::size_t multi_word = 0;
+  for (std::size_t vars = 6; vars <= 17; ++vars) {
+    for (int trial = 0; trial < 2; ++trial) {
+      const std::size_t points = std::min<std::size_t>(std::size_t{1} << vars, 300 + 50 * trial);
+      const SopSpec spec = sparse_spec(rng, vars, points, 0.35);
+      if (spec.on.empty()) continue;
+      if (spec.off.size() > 64) ++multi_word;
+      const Cover sliced = heuristic_minimize(spec);
+      const Cover scalar = heuristic_minimize(
+          spec, 4, [&spec](const Cube& c, std::size_t v) { return scalar_widened_hits_off(spec, c, v); });
+      EXPECT_EQ(sliced.to_string(), scalar.to_string()) << vars << " vars, trial " << trial;
+      for (const Cube& c : sliced.cubes()) {
+        EXPECT_TRUE(cube_is_prime(spec, c)) << vars << " vars, trial " << trial;
+      }
+    }
+  }
+  EXPECT_GE(multi_word, 20u);  // most specs span several 64-bit slice words
+}
+
 TEST(ExactMinimize, RefusesOversizedInstances) {
   SopSpec spec;
   spec.num_vars = 40;  // way past the DC enumeration cap
   spec.on.push_back(BitVec(40));
   EXPECT_FALSE(exact_minimize(spec).has_value());
+}
+
+TEST(ExactMinimize, BranchLimitGivesNulloptNotBestSoFar) {
+  // 4-variable odd parity: every prime is an ON minterm, so the covering
+  // search is a chain of one branch node per ON minterm.
+  SopSpec spec;
+  spec.num_vars = 4;
+  for (int x = 0; x < 16; ++x) {
+    BitVec c(4);
+    for (int v = 0; v < 4; ++v) c.set(v, (x >> v) & 1);
+    (std::popcount(static_cast<unsigned>(x)) % 2 == 1 ? spec.on : spec.off).push_back(c);
+  }
+  const auto full = exact_minimize(spec);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->literal_count(), 32u);
+
+  MinimizeOptions tiny;
+  tiny.exact_max_branch_nodes = 2;
+  EXPECT_FALSE(exact_minimize(spec, tiny).has_value());
 }
 
 // --- extraction ---------------------------------------------------------
