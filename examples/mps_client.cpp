@@ -1,4 +1,4 @@
-// mps_client: blocking client for the mps_serve daemon / mps_frontdoor.
+// mps_client: blocking client for the mps_serve daemon.
 //
 //   mps_client --socket PATH | --connect HOST:PORT|PATH
 //              synth FILE.g [--method modular|direct|lavagno]
@@ -9,8 +9,9 @@
 //
 // --timeout-s bounds both the connect and every response wait: a dead or
 // hung server yields a clean error + exit 1 instead of blocking forever.
-// --retries N retries a refused connect with bounded backoff (a worker
-// that is restarting).
+// --retries N retries a refused connect with bounded backoff (a daemon
+// that is restarting).  --deadline and --timeout-s take finite seconds;
+// inf and nan are usage errors.
 //
 // `synth` prints the same report mps_synth prints for the same spec and
 // method — identical except the seconds field, which is the daemon's
@@ -21,6 +22,7 @@
 //
 // Exit codes mirror mps_synth: 2 usage, 1 synthesis/verification failure
 // or daemon error, 0 success.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -86,7 +88,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage();
       char* end = nullptr;
       const double s = std::strtod(v, &end);
-      if (end == v || *end != '\0' || s <= 0) {
+      if (end == v || *end != '\0' || !std::isfinite(s) || s <= 0) {
         std::fprintf(stderr, "error: --timeout-s expects positive seconds, got '%s'\n", v);
         return 2;
       }
@@ -127,7 +129,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage();
       char* end = nullptr;
       deadline_s = std::strtod(v, &end);
-      if (end == v || *end != '\0' || deadline_s < 0) {
+      if (end == v || *end != '\0' || !std::isfinite(deadline_s) || deadline_s < 0) {
         std::fprintf(stderr, "error: --deadline expects seconds, got '%s'\n", v);
         return 2;
       }

@@ -37,6 +37,9 @@
 //
 // With no arguments it synthesizes a built-in demo specification.
 //
+// Synthesis runs through svc::run_synthesis, the one method dispatch the
+// mps_serve daemon also runs, so mps_client prints the same report.
+//
 // Error contract (tested by ctest): every misuse — unreadable file, .g
 // parse error, unknown --method/--bench/flag — prints one clear
 // diagnostic to stderr and exits nonzero (2 for usage errors, 1 for
@@ -269,46 +272,16 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const sg::StateGraph g = sg::StateGraph::from_stg(spec);
-    sg::StateGraph final_graph;
-    std::vector<std::pair<std::string, logic::Cover>> covers;
-    std::size_t literals = 0;
-    double seconds = 0;
-    bool ok = false;
-    std::string failure;
-
-    // Per-method limits come from svc::default_request_options so this CLI
-    // and the mps_serve daemon cannot drift apart (the byte-identity
-    // contract tested by tests/check_protocol.cmake).
+    // One dispatch: the same svc::run_synthesis the mps_serve daemon runs,
+    // with the same per-method limits (default_request_options), so this
+    // CLI and the daemon cannot drift apart (the byte-identity contract
+    // tested by tests/check_protocol.cmake).  threads = 0 means one per
+    // hardware thread.
     svc::RequestOptions ropts = svc::default_request_options(method);
     svc::set_engine(&ropts, *engine);
-    if (method == "modular") {
-      core::SynthesisOptions opts = ropts.modular;
-      if (threads != 0) opts.num_threads = threads;
-      auto r = core::modular_synthesis(g, opts);
-      ok = r.success;
-      failure = r.failure_reason;
-      final_graph = std::move(r.final_graph);
-      covers = std::move(r.covers);
-      literals = r.total_literals;
-      seconds = r.seconds;
-    } else if (method == "direct") {
-      auto r = baseline::direct_synthesis(g, ropts.direct);
-      ok = r.success;
-      failure = r.failure_reason;
-      final_graph = std::move(r.final_graph);
-      covers = std::move(r.covers);
-      literals = r.total_literals;
-      seconds = r.seconds;
-    } else {
-      auto r = baseline::lavagno_synthesis(g, ropts.lavagno);
-      ok = r.success;
-      failure = r.failure_reason;
-      final_graph = std::move(r.final_graph);
-      covers = std::move(r.covers);
-      literals = r.total_literals;
-      seconds = r.seconds;
-    }
+    ropts.threads = threads;
+    sg::StateGraph final_graph;
+    const svc::Artifact a = svc::run_synthesis(spec, ropts, &final_graph);
 
     // Trace/stats cover the synthesis itself; written even when it failed —
     // a failing run is exactly the one worth profiling.
@@ -321,22 +294,23 @@ int main(int argc, char** argv) {
       if (!quiet) std::printf("wrote %s\n", stats_path.c_str());
     }
 
-    if (!ok) {
-      std::fprintf(stderr, "error: synthesis failed: %s\n", failure.c_str());
+    if (!a.success) {
+      std::fprintf(stderr, "error: synthesis failed: %s\n", a.failure_reason.c_str());
       return 1;
     }
-    const auto report = verify::verify_synthesis(final_graph, covers);
     std::printf("%s: ok, %zu -> %zu states, %zu -> %zu signals, %zu literals, %.3fs, "
                 "verification %s\n",
-                spec.name().c_str(), g.num_states(), final_graph.num_states(),
-                g.num_signals(), final_graph.num_signals(), literals, seconds,
-                report.ok() ? "passed" : "FAILED");
-    if (!report.ok()) {
-      for (const auto& issue : report.issues) std::printf("  issue: %s\n", issue.c_str());
+                a.name.c_str(), a.initial_states, a.final_states, a.initial_signals,
+                a.final_signals, a.literals, a.seconds, a.verify_ok ? "passed" : "FAILED");
+    if (!a.verify_ok) {
+      for (const auto& issue : a.verify_issues) std::printf("  issue: %s\n", issue.c_str());
     }
 
-    const netlist::Netlist circuit = netlist::build_netlist(final_graph, covers);
+    // run_synthesis leaves the Verilog empty only when build_netlist threw;
+    // rebuild it so the error is reported instead of an empty file written.
+    if (a.verilog.empty()) netlist::build_netlist(final_graph, a.rebuild_covers());
     if (check_circuit) {
+      const netlist::Netlist circuit = netlist::build_netlist(final_graph, a.rebuild_covers());
       const auto si = netlist::verify_speed_independence(circuit, final_graph);
       std::printf("circuit: %zu gates, %zu literals, ~%zu transistors; "
                   "speed-independence %s (%zu composed states)\n",
@@ -358,22 +332,16 @@ int main(int argc, char** argv) {
     }
 
     if (!pla_prefix.empty()) {
-      std::vector<std::string> names;
-      for (sg::SignalId s = 0; s < final_graph.num_signals(); ++s) {
-        names.push_back(final_graph.signal(s).name);
-      }
-      for (const auto& [name, cover] : covers) {
-        write_file(pla_prefix + name + ".pla", logic::write_pla(cover, names));
+      for (const auto& [name, cover] : a.rebuild_covers()) {
+        write_file(pla_prefix + name + ".pla", logic::write_pla(cover, a.signal_names));
       }
     }
-    if (!verilog_path.empty()) {
-      write_file(verilog_path, netlist::write_verilog(circuit));
-    }
+    if (!verilog_path.empty()) write_file(verilog_path, a.verilog);
     if (!dimacs_path.empty()) {
-      const auto enc = encoding::encode_csc(g, 1);
+      const auto enc = encoding::encode_csc(sg::StateGraph::from_stg(spec), 1);
       write_file(dimacs_path, sat::write_dimacs(enc.cnf(), "CSC of " + spec.name()));
     }
-    return report.ok() ? 0 : 1;
+    return a.verify_ok ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -96,13 +96,32 @@ void fill_common(const sg::StateGraph& final_graph,
   fill_netlist(final_graph, covers, a);
 }
 
+/// Copy one method's result into the artifact; the three result structs
+/// share these fields (only the baselines report hit_limit).  The final
+/// graph moves out only when the caller asked for it.
+template <typename Result>
+void take_result(Result r, Artifact* a, sg::StateGraph* final_graph) {
+  a->success = r.success;
+  if constexpr (requires { r.hit_limit; }) a->hit_limit = r.hit_limit;
+  a->failure_reason = r.failure_reason;
+  a->initial_states = r.initial_states;
+  a->initial_signals = r.initial_signals;
+  a->final_states = r.final_states;
+  a->final_signals = r.final_signals;
+  a->literals = r.total_literals;
+  a->solver = r.solver_totals;
+  a->seconds = r.seconds;
+  if (r.success) fill_common(r.final_graph, r.covers, a);
+  if (final_graph != nullptr) *final_graph = std::move(r.final_graph);
+}
+
 }  // namespace
 
 RequestOptions default_request_options(const std::string& method) {
   RequestOptions opts;
   opts.method = method;
-  // The examples/mps_synth per-method limits; keep the two in sync by
-  // construction — mps_synth builds its options from this function.
+  // The examples/mps_synth per-method limits; mps_synth and the daemon
+  // both run requests built by this function through run_synthesis.
   opts.direct.solve.max_backtracks = 5'000'000;
   opts.direct.solve.time_limit_s = 120.0;
   opts.lavagno.time_limit_s = 300.0;
@@ -150,7 +169,8 @@ std::string request_digest(const stg::Stg& spec, const RequestOptions& opts) {
   return h.hex_digest();
 }
 
-Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts) {
+Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts,
+                       sg::StateGraph* final_graph) {
   obs::Span span("svc.synth", spec.name());
   Artifact a;
   a.name = spec.name();
@@ -163,47 +183,15 @@ Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts) {
     core::SynthesisOptions mopts = opts.modular;
     mopts.num_threads = opts.threads;
     mopts.deadline = deadline;
-    const auto r = core::modular_synthesis(g, mopts);
-    a.success = r.success;
-    a.failure_reason = r.failure_reason;
-    a.initial_states = r.initial_states;
-    a.initial_signals = r.initial_signals;
-    a.final_states = r.final_states;
-    a.final_signals = r.final_signals;
-    a.literals = r.total_literals;
-    a.solver = r.solver_totals;
-    a.seconds = r.seconds;
-    if (r.success) fill_common(r.final_graph, r.covers, &a);
+    take_result(core::modular_synthesis(g, mopts), &a, final_graph);
   } else if (opts.method == "direct") {
     baseline::DirectOptions vopts = opts.direct;
     vopts.solve.deadline = deadline;
-    const auto r = baseline::direct_synthesis(g, vopts);
-    a.success = r.success;
-    a.hit_limit = r.hit_limit;
-    a.failure_reason = r.failure_reason;
-    a.initial_states = r.initial_states;
-    a.initial_signals = r.initial_signals;
-    a.final_states = r.final_states;
-    a.final_signals = r.final_signals;
-    a.literals = r.total_literals;
-    a.solver = r.solver_totals;
-    a.seconds = r.seconds;
-    if (r.success) fill_common(r.final_graph, r.covers, &a);
+    take_result(baseline::direct_synthesis(g, vopts), &a, final_graph);
   } else if (opts.method == "lavagno") {
     baseline::LavagnoOptions lopts = opts.lavagno;
     lopts.solve.deadline = deadline;
-    const auto r = baseline::lavagno_synthesis(g, lopts);
-    a.success = r.success;
-    a.hit_limit = r.hit_limit;
-    a.failure_reason = r.failure_reason;
-    a.initial_states = r.initial_states;
-    a.initial_signals = r.initial_signals;
-    a.final_states = r.final_states;
-    a.final_signals = r.final_signals;
-    a.literals = r.total_literals;
-    a.solver = r.solver_totals;
-    a.seconds = r.seconds;
-    if (r.success) fill_common(r.final_graph, r.covers, &a);
+    take_result(baseline::lavagno_synthesis(g, lopts), &a, final_graph);
   } else {
     throw util::Error("unknown synthesis method: " + opts.method);
   }

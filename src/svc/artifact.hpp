@@ -7,10 +7,11 @@
 // the structural Verilog, the verify verdict, and the SolverTotals behind
 // bench/table1's schema-3 stats columns.
 //
-// Identity contract: svc::run_synthesis and examples/mps_synth build their
-// per-method option structs through the same default_request_options(), so
-// a daemon answer and a local mps_synth run of the same .g text cannot
-// drift apart (tested across all Table-1 benchmarks).
+// Identity contract: run_synthesis is the one method dispatch.  The daemon,
+// examples/mps_synth and bench/table1 all call it, with option structs
+// built by default_request_options(), so a daemon answer and a local
+// mps_synth run of the same .g text cannot drift apart (tests/
+// check_protocol.cmake byte-compares the two).
 #pragma once
 
 #include <optional>
@@ -23,14 +24,15 @@
 #include "core/synthesis.hpp"
 #include "logic/cover.hpp"
 #include "sat/solver.hpp"
+#include "sg/state_graph.hpp"
 #include "stg/stg.hpp"
 #include "svc/json.hpp"
 
 namespace mps::svc {
 
-/// Everything that determines a synthesis request's result.  The embedded
-/// option structs default to the values examples/mps_synth uses, so the
-/// daemon and the CLI agree; bench/table1 overrides the limits with its own.
+/// Everything that determines a synthesis request's result.
+/// default_request_options() sets the limits mps_synth and the daemon run
+/// with; bench/table1 overrides the limits with its own.
 struct RequestOptions {
   std::string method = "modular";  ///< modular | direct | lavagno
   /// Worker threads for the modular module loop (results are bit-identical
@@ -112,8 +114,14 @@ struct Artifact {
 /// Execute one request end to end: state graph, the chosen method, logic
 /// verification, netlist + Verilog.  Never throws for synthesis-level
 /// failures (success=false + failure_reason instead); propagates only
-/// programming errors.  This is the single execution path shared by the
-/// daemon, bench/table1 --cache-dir, and the identity tests.
-Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts);
+/// programming errors and spec errors from building the state graph.  This
+/// is the single execution path shared by the daemon, mps_synth,
+/// bench/table1 --cache-dir, and the identity tests.
+///
+/// When `final_graph` is non-null the method's final (expanded) state graph
+/// is moved into it: mps_synth --check-circuit needs it for the
+/// speed-independence verifier.  Callers that pass nothing copy no graph.
+Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts,
+                       sg::StateGraph* final_graph = nullptr);
 
 }  // namespace mps::svc

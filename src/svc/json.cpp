@@ -63,7 +63,13 @@ void Json::set(std::string key, Json v) {
 
 std::int64_t Json::get_int(std::string_view key, std::int64_t fallback) const {
   const Json* v = find(key);
-  return v != nullptr && v->is_number() ? v->as_int() : fallback;
+  if (v == nullptr || !v->is_number()) return fallback;
+  if (v->kind_ == Kind::Int) return v->int_;
+  // A double is "the right kind" only when as_int() can hold it exactly;
+  // {"protocol":1.5} must fall back, not trip as_int()'s assertion.
+  const double d = v->double_;
+  return d == std::floor(d) && d >= -0x1p63 && d < 0x1p63 ? static_cast<std::int64_t>(d)
+                                                          : fallback;
 }
 
 double Json::get_double(std::string_view key, double fallback) const {

@@ -1,5 +1,9 @@
 #include "svc/service.hpp"
 
+#include <chrono>
+#include <cmath>
+#include <optional>
+
 #include "obs/obs.hpp"
 #include "stg/parser.hpp"
 #include "svc/artifact.hpp"
@@ -19,6 +23,19 @@ std::string protocol_error(const std::string& op, const std::string& kind,
   return j.dump();
 }
 
+namespace {
+
+/// A validated synth request: the parsed spec, the full request options and
+/// the cache digest.
+struct SynthRequest {
+  stg::Stg spec;
+  RequestOptions options;
+  std::string digest;
+};
+
+/// The one place the wire fields (g/method/engine/threads/deadline_s) are
+/// interpreted.  On failure returns nullopt and sets *error_line to the
+/// exact response to send.
 std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* error_line) {
   const Json* g_text = req.find("g");
   if (g_text == nullptr || !g_text->is_string()) {
@@ -39,6 +56,28 @@ std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* er
         "synth", "bad_request", "unknown engine: '" + engine_str + "' (expected dpll|cdcl)");
     return std::nullopt;
   }
+  // Range-check the numbers before they reach a cast or a clock: a
+  // fractional or negative thread count, or a deadline past the clock's
+  // range, must be a bad request, never a crash.  The thread bound is the
+  // CLIs' --threads bound; a deadline gets half the steady_clock range so
+  // now() + deadline cannot overflow.
+  const Json* threads = req.find("threads");
+  const double n = threads == nullptr ? 1.0 : threads->is_number() ? threads->as_double() : -1.0;
+  if (!(n >= 0 && n <= 65536 && n == std::floor(n))) {
+    *error_line = protocol_error("synth", "bad_request",
+                                 "threads must be an integer in 0..65536");
+    return std::nullopt;
+  }
+  const Json* deadline = req.find("deadline_s");
+  const double d = deadline == nullptr ? 0.0 : deadline->is_number() ? deadline->as_double() : -1.0;
+  const double max_deadline_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::duration::max()).count() / 2;
+  if (!(d >= 0 && d <= max_deadline_s)) {
+    *error_line = protocol_error(
+        "synth", "bad_request",
+        util::format("deadline_s must be finite seconds in 0..%.3g", max_deadline_s));
+    return std::nullopt;
+  }
 
   SynthRequest out;
   try {
@@ -48,14 +87,12 @@ std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* er
     return std::nullopt;
   }
   out.options = default_request_options(method);
-  out.options.threads = static_cast<unsigned>(req.get_int("threads", 1));
-  out.options.deadline_s = req.get_double("deadline_s", 0.0);
+  out.options.threads = static_cast<unsigned>(n);
+  out.options.deadline_s = d;
   set_engine(&out.options, *engine);
   out.digest = request_digest(out.spec, out.options);
   return out;
 }
-
-namespace {
 
 std::string error_response(const std::string& op, const std::string& kind,
                            const std::string& message) {

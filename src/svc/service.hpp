@@ -14,11 +14,13 @@
 //   {"op":"stats"}                      -> {"ok":true,"op":"stats",...}
 //   {"op":"drain"}                      -> {"ok":true,"op":"drain"}  + drain flag
 // Error responses: {"ok":false,"op":"<op>","kind":"<k>","error":"<msg>"}
-// with kind in {bad_request, parse, overloaded, internal, version,
-// unavailable}.  A synthesis that *ran* but failed (CSC unresolved,
-// deadline fired) is NOT a protocol error: the response is ok:true with
-// artifact.success=false, mirroring mps_synth's exit-1-with-reason
-// behaviour.
+// with kind in {bad_request, parse, overloaded, internal, version}.  A
+// synth request is a bad_request unless threads is an integer in 0..65536
+// (0 = one per hardware thread) and deadline_s is finite, non-negative and
+// small enough for a steady_clock deadline.  A synthesis that *ran* but
+// failed (CSC unresolved, deadline fired) is NOT a protocol error: the
+// response is ok:true with artifact.success=false, mirroring mps_synth's
+// exit-1-with-reason behaviour.
 //
 // The version op is the session handshake (net/session.hpp): a client that
 // cares about compatibility sends it first; a mismatched "protocol" gets
@@ -29,10 +31,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 
-#include "stg/stg.hpp"
 #include "svc/artifact.hpp"
 #include "svc/cache.hpp"
 #include "svc/scheduler.hpp"
@@ -43,24 +43,10 @@ namespace mps::svc {
 constexpr std::int64_t kProtocolVersion = 1;
 
 /// One protocol error line: {"ok":false,"op":op,"kind":kind,"error":msg}.
-/// Shared by Service, the transport loops (oversized frames), and the front
-/// door, so every error a client can see has the same shape.
+/// Shared by Service and the transport loop (oversized frames), so every
+/// error a client can see has the same shape.
 std::string protocol_error(const std::string& op, const std::string& kind,
                            const std::string& message);
-
-/// A validated synth request: the parsed spec, the full request options and
-/// the routing/cache digest.  parse_synth_request() is the one place the
-/// wire fields (g/method/engine/threads/deadline_s) are interpreted —
-/// Service executes the result locally, the front door routes on `digest`.
-struct SynthRequest {
-  stg::Stg spec;
-  RequestOptions options;
-  std::string digest;
-};
-
-/// Validate + parse a {"op":"synth"} request.  On failure returns nullopt
-/// and sets *error_line to the exact response to send.
-std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* error_line);
 
 struct ServiceOptions {
   CacheOptions cache;

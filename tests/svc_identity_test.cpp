@@ -1,11 +1,10 @@
-// Daemon/CLI identity acceptance: for every Table-1 benchmark, the service
-// path (svc::run_synthesis with the options mps_serve and mps_client use)
-// must agree with the library path (core::modular_synthesis with the
-// options examples/mps_synth uses) on every quality number, and the
+// Service/library identity acceptance: for every Table-1 benchmark, the
+// service path (svc::run_synthesis, which mps_serve and mps_synth both
+// call) must agree with a direct library call (core::modular_synthesis
+// with the same default_request_options) on every quality number, and the
 // serialized artifact must survive a cache round trip byte-identically.
-// This is the in-process form of the "mps_client output == mps_synth
-// output" contract; the socket form (two benchmarks end to end) runs in
-// tests/check_protocol.cmake.
+// The socket form of the "mps_client output == mps_synth output" contract
+// (two benchmarks end to end) runs in tests/check_protocol.cmake.
 #include <gtest/gtest.h>
 
 #include "mps.hpp"
@@ -19,7 +18,7 @@ TEST(SvcIdentity, ServicePathMatchesCliPathOnAllTable1Benchmarks) {
     SCOPED_TRACE(b.name);
     const stg::Stg spec = b.make();
 
-    // The CLI path: exactly what examples/mps_synth --method modular runs.
+    // The library path: the method called directly, without the service.
     const svc::RequestOptions ropts = svc::default_request_options("modular");
     const sg::StateGraph g = sg::StateGraph::from_stg(spec);
     const auto cli = core::modular_synthesis(g, ropts.modular);

@@ -12,6 +12,8 @@
 #include <limits>
 #include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -78,6 +80,11 @@ TEST(SvcJson, TypedGettersFallBack) {
   EXPECT_EQ(j.get_int("absent", -1), -1);
   EXPECT_EQ(j.get_string("s", "d"), "x");
   EXPECT_EQ(j.get_string("n", "d"), "d");
+  // Doubles count as ints only when integral and within int64.
+  const svc::Json d = svc::Json::parse(R"({"w":2.0,"f":1.5,"big":1e300})");
+  EXPECT_EQ(d.get_int("w", -1), 2);
+  EXPECT_EQ(d.get_int("f", -1), -1);
+  EXPECT_EQ(d.get_int("big", -1), -1);
 }
 
 // -------------------------------------------------------------- SHA-256 --
@@ -584,6 +591,44 @@ TEST(SvcService, SynthCarriesTheEngineSelector) {
   EXPECT_FALSE(bad.get_bool("ok", true));
   EXPECT_EQ(bad.get_string("kind", ""), "bad_request");
   EXPECT_NE(bad.get_string("error", "").find("engine"), std::string::npos) << bad.dump();
+}
+
+TEST(SvcService, OutOfRangeThreadsAndDeadlinesAreBadRequests) {
+  svc::Service service(fast_service_options());
+  const std::string g_text = stg::write_g(tiny_spec());
+  auto synth = [&](const char* field, const svc::Json& value) {
+    svc::Json req = svc::Json::object();
+    req.set("op", "synth");
+    req.set("g", g_text);
+    req.set(field, value);
+    return svc::Json::parse(service.handle_line(req.dump()));
+  };
+
+  // Each of these used to crash the daemon (assertion, 2^32-thread pool,
+  // clock overflow) or silently drop the deadline (null is how a NaN
+  // deadline serializes).
+  const std::vector<std::pair<const char*, svc::Json>> bad = {
+      {"threads", svc::Json(1.5)},         {"threads", svc::Json(-1)},
+      {"threads", svc::Json(65537)},       {"threads", svc::Json("4")},
+      {"deadline_s", svc::Json(1e300)},    {"deadline_s", svc::Json(-1.0)},
+      {"deadline_s", svc::Json()},
+  };
+  for (const auto& [field, value] : bad) {
+    const svc::Json r = synth(field, value);
+    EXPECT_FALSE(r.get_bool("ok", true)) << field << "=" << value.dump();
+    EXPECT_EQ(r.get_string("kind", ""), "bad_request") << r.dump();
+    EXPECT_NE(r.get_string("error", "").find(field), std::string::npos) << r.dump();
+  }
+
+  // The bounds themselves are accepted: 0 threads = one per hardware thread.
+  const svc::Json zero = synth("threads", svc::Json(0));
+  EXPECT_TRUE(zero.get_bool("ok", false)) << zero.dump();
+  const svc::Json integral = synth("threads", svc::Json(2.0));
+  EXPECT_TRUE(integral.get_bool("ok", false)) << integral.dump();
+
+  // A fractional protocol number in the handshake falls back, no crash.
+  const svc::Json v = svc::Json::parse(service.handle_line(R"({"op":"version","protocol":1.5})"));
+  EXPECT_TRUE(v.get_bool("ok", false)) << v.dump();
 }
 
 TEST(SvcService, DrainOpSetsTheFlag) {
