@@ -12,9 +12,7 @@
 //
 // The per-benchmark rows are independent, so they are computed on a
 // util::ThreadPool (`--threads N`; `--threads 1` reproduces the serial
-// run) and printed in table order afterwards.  Each row's synthesis runs
-// with num_threads = 1 so the printed per-row cpu columns stay comparable
-// with the paper's single-core measurements.  `--json PATH` additionally
+// run) and printed in table order afterwards.  `--json PATH` additionally
 // writes a machine-readable report (one record per benchmark × method)
 // for the perf-regression harness; see BENCH_table1.json.  `--engine cdcl`
 // swaps every sub-solve onto the clause-learning engine (the run that
@@ -84,7 +82,6 @@ struct BenchResult {
 /// digests — a table1 cache never collides with daemon entries.
 svc::RequestOptions table_request_options(const std::string& method, sat::Engine engine) {
   svc::RequestOptions ropts = svc::default_request_options(method);
-  ropts.threads = 1;  // row-level parallelism only; keeps cpu columns comparable
   ropts.direct.solve.max_backtracks = 5000000;
   ropts.direct.solve.time_limit_s = 60.0;
   ropts.lavagno.solve.max_backtracks = 2000000;

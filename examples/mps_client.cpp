@@ -2,9 +2,8 @@
 //
 //   mps_client --socket PATH | --connect HOST:PORT|PATH
 //              synth FILE.g [--method modular|direct|lavagno]
-//              [--engine dpll|cdcl] [--threads N] [--deadline SECONDS]
-//              [--timeout-s S] [--retries N]
-//              [--out-pla <prefix>] [--out-verilog <file>] [--quiet]
+//              [--engine dpll|cdcl] [--deadline SECONDS] [--timeout-s S]
+//              [--retries N] [--out-pla <prefix>] [--out-verilog <file>] [--quiet]
 //   mps_client (--socket PATH | --connect TARGET) ping|stats|drain
 //
 // --timeout-s bounds both the connect and every response wait: a dead or
@@ -39,9 +38,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: mps_client (--socket PATH | --connect HOST:PORT|PATH) synth FILE.g\n"
                "                  [--method modular|direct|lavagno] [--engine dpll|cdcl]\n"
-               "                  [--threads N] [--deadline SECONDS] [--timeout-s S]\n"
-               "                  [--retries N] [--out-pla <prefix>] [--out-verilog <file>]\n"
-               "                  [--quiet]\n"
+               "                  [--deadline SECONDS] [--timeout-s S] [--retries N]\n"
+               "                  [--out-pla <prefix>] [--out-verilog <file>] [--quiet]\n"
                "       mps_client (--socket PATH | --connect TARGET) ping|stats|drain\n");
   return 2;
 }
@@ -72,7 +70,6 @@ int main(int argc, char** argv) {
   std::string engine;
   std::string pla_prefix;
   std::string verilog_path;
-  unsigned threads = 1;
   double deadline_s = 0.0;
   bool quiet = false;
 
@@ -115,15 +112,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       engine = v;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      const auto n = util::parse_int(v, 1, 1 << 16);
-      if (!n.has_value()) {
-        std::fprintf(stderr, "error: --threads expects a positive integer, got '%s'\n", v);
-        return 2;
-      }
-      threads = static_cast<unsigned>(*n);
     } else if (arg == "--deadline") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -184,7 +172,7 @@ int main(int argc, char** argv) {
                   spec.num_signals(), spec.net().num_transitions(), method.c_str());
     }
 
-    const svc::Json resp = client.synth(g_text, method, threads, deadline_s, engine);
+    const svc::Json resp = client.synth(g_text, method, deadline_s, engine);
     if (!resp.get_bool("ok", false)) {
       std::fprintf(stderr, "error: daemon: [%s] %s\n", resp.get_string("kind", "?").c_str(),
                    resp.get_string("error", "unknown error").c_str());

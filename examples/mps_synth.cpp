@@ -29,10 +29,8 @@
 //                          (materializes --bench specs for other tools, e.g.
 //                          feeding mps_client the same spec)
 //     --trace <file>       write a Chrome trace-event JSON of the run (load in
-//                          chrome://tracing or Perfetto; one lane per thread)
+//                          chrome://tracing or Perfetto)
 //     --stats-json <file>  write aggregate span/counter statistics as JSON
-//     --threads N          worker threads for the modular method's module
-//                          loop (results are bit-identical for any N)
 //     --quiet              only the summary line
 //
 // With no arguments it synthesizes a built-in demo specification.
@@ -66,7 +64,6 @@ int usage() {
                "                 [--out-pla <prefix>] [--out-verilog <file>]\n"
                "                 [--check-circuit] [--dimacs <file>] [--dump-g <file>]\n"
                "                 [--quiet] [--trace <file>] [--stats-json <file>]\n"
-               "                 [--threads N]\n"
                "       mps_synth --bench <name>   (use a built-in Table-1 benchmark)\n"
                "       mps_synth --gen <family:n> (use a generated spec: pipeline:10,\n"
                "                                   sequencer:8, parallelizer:4, toggle:3)\n");
@@ -95,7 +92,6 @@ int main(int argc, char** argv) {
   std::string dump_g_path;
   std::string trace_path;
   std::string stats_path;
-  unsigned threads = 0;  // 0 = SynthesisOptions default (one per hardware thread)
   bool check_circuit = false;
   bool quiet = false;
 
@@ -148,15 +144,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage();
       stats_path = v;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      const auto n = util::parse_int(v, 1, 1 << 16);
-      if (!n.has_value()) {
-        std::fprintf(stderr, "error: --threads expects a positive integer, got '%s'\n", v);
-        return 2;
-      }
-      threads = static_cast<unsigned>(*n);
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -184,7 +171,7 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty() || !stats_path.empty()) {
-    obs::set_enabled(true);  // before any pool/solver work so every span lands
+    obs::set_enabled(true);  // before any solver work so every span lands
     obs::set_thread_name("main");
   }
 
@@ -275,11 +262,9 @@ int main(int argc, char** argv) {
     // One dispatch: the same svc::run_synthesis the mps_serve daemon runs,
     // with the same per-method limits (default_request_options), so this
     // CLI and the daemon cannot drift apart (the byte-identity contract
-    // tested by tests/check_protocol.cmake).  threads = 0 means one per
-    // hardware thread.
+    // tested by tests/check_protocol.cmake).
     svc::RequestOptions ropts = svc::default_request_options(method);
     svc::set_engine(&ropts, *engine);
-    ropts.threads = threads;
     sg::StateGraph final_graph;
     const svc::Artifact a = svc::run_synthesis(spec, ropts, &final_graph);
 

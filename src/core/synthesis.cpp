@@ -1,7 +1,6 @@
 #include "core/synthesis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 
 #include "logic/extract.hpp"
@@ -10,7 +9,6 @@
 #include "sg/projection.hpp"
 #include "util/common.hpp"
 #include "util/text.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mps::core {
 
@@ -71,47 +69,41 @@ bool rescue_direct(const sg::StateGraph& g, const PartitionSatOptions& opts,
 }
 
 /// One per-output unit of a synthesis round: everything up to — but not
-/// including — the sequential merge/propagate step.
+/// including — the merge/propagate step.
 struct ModuleWork {
   ModuleGraph module;
   ModuleReport report;
   PartitionSatResult psr;
-  bool inserts = false;  ///< solved its conflicts and produced new signals
 };
 
-/// Compute the module of output `o` against a fixed snapshot of the
-/// accumulated state-signal assignments.  Pure w.r.t. shared state, so any
-/// number of these can run concurrently; `cancel` lets the merge logic stop
-/// a solve whose result is already known to be stale.
-void compute_module(const sg::StateGraph& g, sg::SignalId o, const sg::Assignments& snapshot,
-                    const SynthesisOptions& opts, int round,
-                    std::chrono::steady_clock::time_point deadline,
-                    const std::atomic<bool>* cancel, ModuleWork* w) {
+/// Compute the module of output `o` against the state-signal assignments
+/// accumulated so far this round.
+ModuleWork compute_module(const sg::StateGraph& g, sg::SignalId o,
+                          const sg::Assignments& assigns, const SynthesisOptions& opts,
+                          int round, std::chrono::steady_clock::time_point deadline) {
   util::Timer timer;
-  // Runs on whichever pool thread claimed this output, so module spans are
-  // what makes per-wave speculation (and its waste) visible in the trace.
   obs::Span span("synth.module", g.signal(o).name);
   span.arg("round", round);
-  const InputSetResult isr = determine_input_set(g, o, snapshot, opts.input_set);
-  w->module = build_module(g, o, isr, snapshot);
+  const InputSetResult isr = determine_input_set(g, o, assigns, opts.input_set);
+  ModuleWork w;
+  w.module = build_module(g, o, isr, assigns);
 
-  w->report.output = g.signal(o).name;
-  w->report.round = round;
-  w->report.input_set_size = isr.kept.count() - 1;  // excluding o itself
-  w->report.module_states = w->module.proj.graph.num_states();
-  w->report.module_conflicts = w->module.conflicts.size();
+  w.report.output = g.signal(o).name;
+  w.report.round = round;
+  w.report.input_set_size = isr.kept.count() - 1;  // excluding o itself
+  w.report.module_states = w.module.proj.graph.num_states();
+  w.report.module_conflicts = w.module.conflicts.size();
 
-  if (!w->module.conflicts.empty()) {
+  if (!w.module.conflicts.empty()) {
     PartitionSatOptions sat_opts = opts.sat;
-    sat_opts.solve.interrupt = cancel;
     sat_opts.solve.deadline = deadline;
-    w->psr = partition_sat(w->module, "m", sat_opts);
-    w->inserts = w->psr.success && w->psr.module_assignments.num_signals() > 0;
+    w.psr = partition_sat(w.module, "m", sat_opts);
   }
-  w->report.seconds = timer.seconds();
-  span.arg("module_states", static_cast<std::int64_t>(w->report.module_states));
-  span.arg("conflicts", static_cast<std::int64_t>(w->report.module_conflicts));
-  span.arg("inserts", w->inserts ? 1 : 0);
+  w.report.seconds = timer.seconds();
+  span.arg("module_states", static_cast<std::int64_t>(w.report.module_states));
+  span.arg("conflicts", static_cast<std::int64_t>(w.report.module_conflicts));
+  span.arg("inserts", w.psr.success && w.psr.module_assignments.num_signals() > 0 ? 1 : 0);
+  return w;
 }
 
 }  // namespace
@@ -137,9 +129,6 @@ SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOp
   sg::StateGraph g = has_silent_edges(input) ? sg::contract_silent(input) : input;
   result.initial_states = g.num_states();
   result.initial_signals = g.num_signals();
-
-  util::ThreadPool pool(opts.num_threads == 0 ? util::ThreadPool::hardware_threads()
-                                              : opts.num_threads);
 
   bool failed = false;
   for (int round = 1; round <= opts.max_rounds; ++round) {
@@ -168,68 +157,22 @@ SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOp
 
     sg::Assignments assigns(g.num_states());
 
-    std::vector<sg::SignalId> outputs;
+    // Figure 6 main loop: one module per output signal, in output order,
+    // so output k sees the signals that outputs < k inserted this round.
     for (sg::SignalId o = 0; o < g.num_signals(); ++o) {
-      if (!g.is_input(o)) outputs.push_back(o);
-    }
-
-    // Figure 6 main loop: one module per output signal.  Modules are
-    // independent given a fixed set of already-inserted signals, so each
-    // *wave* solves all still-pending outputs concurrently against a
-    // snapshot of `assigns`.  The serial flow lets output k see the signals
-    // outputs < k inserted this round; to stay bit-identical the wave only
-    // adopts results up to and including the first output that inserts
-    // signals — later speculations were computed against a stale snapshot,
-    // so they are cancelled and recomputed in the next wave.  Outputs that
-    // insert nothing are unaffected by the snapshot, hence most rounds
-    // finish in (#inserting outputs + 1) waves.
-    std::size_t done = 0;
-    int wave_no = 0;
-    while (done < outputs.size()) {
-      const std::size_t wave = outputs.size() - done;
-      obs::Span wave_span("synth.wave");
-      wave_span.arg("round", round);
-      wave_span.arg("wave", ++wave_no);
-      wave_span.arg("size", static_cast<std::int64_t>(wave));
-      const sg::Assignments snapshot = assigns;
-      std::vector<ModuleWork> work(wave);
-      std::vector<std::atomic<bool>> cancel(wave);
-      std::atomic<std::size_t> first_insert{wave};
-
-      pool.parallel_for(wave, [&](std::size_t i) {
-        if (cancel[i].load(std::memory_order_relaxed)) return;  // stale speculation
-        compute_module(g, outputs[done + i], snapshot, opts, round, deadline, &cancel[i],
-                       &work[i]);
-        if (!work[i].inserts) return;
-        std::size_t cur = first_insert.load(std::memory_order_relaxed);
-        while (i < cur && !first_insert.compare_exchange_weak(cur, i)) {
+      if (g.is_input(o)) continue;
+      ModuleWork w = compute_module(g, o, assigns, opts, round, deadline);
+      if (!w.module.conflicts.empty()) {
+        w.report.formulas = w.psr.formulas;
+        if (w.psr.success) {
+          w.report.new_signals = w.psr.module_assignments.num_signals();
+          propagate(w.module, w.psr.module_assignments, &assigns,
+                    /*name_offset=*/g.num_signals());
+        } else {
+          result.failure_reason = "partition SAT hit its limit for output " + w.report.output;
         }
-        // Every module past the earliest inserter is stale; stop its solve.
-        for (std::size_t j = first_insert.load(std::memory_order_relaxed) + 1; j < wave;
-             ++j) {
-          cancel[j].store(true, std::memory_order_relaxed);
-        }
-      });
-
-      // Sequential merge in output order (identical to the serial flow).
-      const std::size_t adopt = std::min(first_insert.load() + 1, wave);
-      wave_span.arg("adopted", static_cast<std::int64_t>(adopt));
-      for (std::size_t i = 0; i < adopt; ++i) {
-        ModuleWork& w = work[i];
-        if (!w.module.conflicts.empty()) {
-          w.report.formulas = w.psr.formulas;
-          if (w.psr.success) {
-            w.report.new_signals = w.psr.module_assignments.num_signals();
-            propagate(w.module, w.psr.module_assignments, &assigns,
-                      /*name_offset=*/g.num_signals());
-          } else {
-            result.failure_reason =
-                "partition SAT hit its limit for output " + w.report.output;
-          }
-        }
-        result.modules.push_back(std::move(w.report));
       }
-      done += adopt;
+      result.modules.push_back(std::move(w.report));
     }
 
     if (assigns.empty()) {

@@ -29,9 +29,7 @@ struct SynthesisOptions {
   int max_rounds = 6;
   /// Derive + minimize logic (disable for timing-only experiments).
   bool derive_logic = true;
-  /// Worker threads for the per-output module loop.  0 = one per hardware
-  /// thread; 1 = fully serial (today's single-threaded flow).  Any value
-  /// produces bit-identical results — see DESIGN.md "Parallel synthesis".
+  /// Ignored; removed with the next benchmark change.
   unsigned num_threads = 0;
   /// Wall-clock budget per synthesis round, shared by all module solves of
   /// the round as a common deadline; <=0 = unlimited.  A module whose solve
@@ -49,13 +47,12 @@ struct SynthesisOptions {
 };
 
 /// Canonical text encoding of every result-affecting SynthesisOptions field
-/// (svc::Cache key material).  Excludes num_threads (results are
-/// bit-identical for any value by contract) and the absolute `deadline`
-/// time point — callers that admit per-request deadlines must fold the
-/// requested *budget* into their own key, since a deadline that fires
-/// changes results.  The relative round_time_limit_s budget is included.
-/// Bump the leading version token when a new result-affecting field is
-/// added.
+/// (svc::Cache key material).  Excludes the ignored num_threads and the
+/// absolute `deadline` time point — callers that admit per-request
+/// deadlines must fold the requested *budget* into their own key, since a
+/// deadline that fires changes results.  The relative round_time_limit_s
+/// budget is included.  Bump the leading version token when a new
+/// result-affecting field is added.
 std::string options_fingerprint(const SynthesisOptions& opts);
 
 /// Per-output record of what the partitioning did (module sizes and the
@@ -68,8 +65,7 @@ struct ModuleReport {
   std::size_t module_conflicts = 0;
   std::size_t new_signals = 0;
   std::vector<FormulaStat> formulas;
-  /// Wall time of this module's input-set + projection + SAT work (the
-  /// module was possibly computed concurrently with others).
+  /// Wall time of this module's input-set + projection + SAT work.
   double seconds = 0.0;
 };
 
@@ -92,10 +88,7 @@ struct SynthesisResult {
   std::vector<ModuleReport> modules;
   int rounds = 0;
   double seconds = 0.0;
-  /// Search effort summed over every adopted module formula plus the rescue
-  /// path — i.e. over the formulas whose results the flow actually used, so
-  /// the totals are bit-identical for any num_threads (cancelled speculative
-  /// solves are excluded by construction, like everything else about them).
+  /// Search effort summed over every module formula plus the rescue path.
   sat::SolverTotals solver_totals;
 };
 

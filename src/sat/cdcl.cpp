@@ -375,18 +375,6 @@ class Cdcl {
     qhead_ = 0;  // replay level-0 propagation against the rebuilt watches
   }
 
-  bool should_stop(const util::Timer& timer) const {
-    if (opts_.interrupt != nullptr && opts_.interrupt->load(std::memory_order_relaxed)) {
-      return true;
-    }
-    if (opts_.time_limit_s > 0 && timer.seconds() > opts_.time_limit_s) return true;
-    if (opts_.deadline != std::chrono::steady_clock::time_point{} &&
-        std::chrono::steady_clock::now() > opts_.deadline) {
-      return true;
-    }
-    return false;
-  }
-
   /// Flip every true variable that no problem clause needs to FALSE, in
   /// ascending variable order — deterministic.  Phase saving finds models
   /// shaped by the search trajectory; the DPLL reference's FALSE-first
@@ -451,7 +439,7 @@ class Cdcl {
         if (opts_.max_backtracks >= 0 && conflicts_ > opts_.max_backtracks) {
           return Outcome::Limit;
         }
-        if ((conflicts_ & 255) == 0 && should_stop(timer)) return Outcome::Limit;
+        if ((conflicts_ & 255) == 0 && should_stop(opts_, timer)) return Outcome::Limit;
 
         int blevel = 0;
         std::uint32_t lbd = 0;
@@ -471,7 +459,7 @@ class Cdcl {
         var_inc_ *= (1.0 / 0.95);  // EVSIDS: decay by inflating the increment
         continue;
       }
-      if ((decisions_ & 127) == 0 && should_stop(timer)) return Outcome::Limit;
+      if ((decisions_ & 127) == 0 && should_stop(opts_, timer)) return Outcome::Limit;
       // Restart / clause-DB reduction only at quiescence: reduce_db() needs
       // the level-0 assignment closed under propagation to restore the watch
       // invariant during the arena rebuild.

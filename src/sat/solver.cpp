@@ -253,20 +253,6 @@ class Dpll {
     }
   }
 
-  /// External stop conditions (interrupt token, relative time limit, shared
-  /// deadline).  Cheap enough for periodic checks; not for every decision.
-  bool should_stop(const util::Timer& timer) const {
-    if (opts_.interrupt != nullptr && opts_.interrupt->load(std::memory_order_relaxed)) {
-      return true;
-    }
-    if (opts_.time_limit_s > 0 && timer.seconds() > opts_.time_limit_s) return true;
-    if (opts_.deadline != std::chrono::steady_clock::time_point{} &&
-        std::chrono::steady_clock::now() > opts_.deadline) {
-      return true;
-    }
-    return false;
-  }
-
   Outcome search(const util::Timer& timer) {
     struct Decision {
       Lit lit;
@@ -289,7 +275,7 @@ class Dpll {
         if (opts_.max_backtracks >= 0 && backtracks_ > opts_.max_backtracks) {
           return Outcome::Limit;
         }
-        if ((backtracks_ & 255) == 0 && should_stop(timer)) return Outcome::Limit;
+        if ((backtracks_ & 255) == 0 && should_stop(opts_, timer)) return Outcome::Limit;
         if (opts_.restart_interval > 0 && backtracks_since_restart >= restart_budget) {
           // Geometric restart: forget decisions, keep activities.  The
           // doubling saturates — an unbounded run used to overflow int64
@@ -319,7 +305,7 @@ class Dpll {
       // Conflicts are not the only progress marker: a propagation-heavy
       // instance can run for a long time with almost no backtracks, so the
       // stop conditions are also polled on a decision counter.
-      if ((decisions_ & 127) == 0 && should_stop(timer)) return Outcome::Limit;
+      if ((decisions_ & 127) == 0 && should_stop(opts_, timer)) return Outcome::Limit;
       const Lit branch = pick_branch();
       if (!branch.valid()) return Outcome::Sat;  // total assignment, all clauses satisfied
       ++decisions_;

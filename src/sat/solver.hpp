@@ -17,13 +17,13 @@
 //     every Table-1 LIMIT row; see DESIGN.md "CDCL engine".
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string_view>
 
 #include "sat/cnf.hpp"
+#include "util/common.hpp"
 
 namespace mps::sat {
 
@@ -44,7 +44,7 @@ const char* engine_name(Engine e);
 std::optional<Engine> engine_from_name(std::string_view name);
 
 struct SolveOptions {
-  /// Which search loop runs.  Both honor every limit/interrupt field below.
+  /// Which search loop runs.  Both honor every limit field below.
   Engine engine = Engine::Dpll;
   /// Abort with Outcome::Limit beyond this many conflicts (for DPLL:
   /// backtracks — flips of a decision; the two counts coincide there);
@@ -54,11 +54,6 @@ struct SolveOptions {
   /// both decisions and conflicts, so propagation-heavy runs with few
   /// backtracks still honor it.
   double time_limit_s = 0.0;
-  /// Cooperative cancellation: when non-null and set (by another thread),
-  /// the search returns Outcome::Limit at its next periodic check.  Used by
-  /// the parallel synthesis flow to stop solving modules whose results are
-  /// already known to be discarded.
-  const std::atomic<bool>* interrupt = nullptr;
   /// Absolute wall-clock cutoff shared by a group of solves (e.g. all
   /// modules of one synthesis round); default-constructed = none.  Combines
   /// with time_limit_s: whichever fires first wins.
@@ -84,6 +79,15 @@ struct SolveOptions {
   std::vector<Lit>* decision_log = nullptr;
 };
 
+/// The engines' one external stop check, polled periodically (not on
+/// every decision): the relative time limit, measured by `timer`, or the
+/// shared deadline has passed.
+inline bool should_stop(const SolveOptions& opts, const util::Timer& timer) {
+  if (opts.time_limit_s > 0 && timer.seconds() > opts.time_limit_s) return true;
+  return opts.deadline != std::chrono::steady_clock::time_point{} &&
+         std::chrono::steady_clock::now() > opts.deadline;
+}
+
 /// Search statistics of one solve() call.  Also the payload of the
 /// "sat.solve" span every solve records into obs:: — the trace/stats output
 /// and the caller-visible stats are the same numbers by construction.
@@ -107,8 +111,7 @@ struct SolveStats {
 };
 
 /// Aggregate search effort over a group of solves (one synthesis run, one
-/// Table-1 row).  Deliberately order-insensitive sums, so parallel and
-/// serial synthesis flows report identical totals.
+/// Table-1 row).
 struct SolverTotals {
   std::int64_t decisions = 0;
   std::int64_t propagations = 0;

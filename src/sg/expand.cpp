@@ -4,6 +4,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "obs/obs.hpp"
 #include "util/common.hpp"
 
 namespace mps::sg {
@@ -27,6 +28,7 @@ struct KeyHash {
 }  // namespace
 
 Expansion expand(const StateGraph& g, const Assignments& assigns, bool check_consistency) {
+  obs::Span span("sg.expand");
   MPS_ASSERT(assigns.num_states() == g.num_states() || assigns.empty());
   MPS_ASSERT(assigns.num_signals() <= 64);
   if (const auto bad = assigns.check_coherence(g); bad.has_value()) {
@@ -115,6 +117,7 @@ Expansion expand(const StateGraph& g, const Assignments& assigns, bool check_con
   }
 
   if (check_consistency) result.graph.check_consistency();
+  span.arg("states", static_cast<std::int64_t>(result.graph.num_states()));
   return result;
 }
 

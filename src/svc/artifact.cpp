@@ -181,7 +181,6 @@ Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts,
 
   if (opts.method == "modular") {
     core::SynthesisOptions mopts = opts.modular;
-    mopts.num_threads = opts.threads;
     mopts.deadline = deadline;
     take_result(core::modular_synthesis(g, mopts), &a, final_graph);
   } else if (opts.method == "direct") {

@@ -35,8 +35,7 @@ namespace mps::svc {
 /// with; bench/table1 overrides the limits with its own.
 struct RequestOptions {
   std::string method = "modular";  ///< modular | direct | lavagno
-  /// Worker threads for the modular module loop (results are bit-identical
-  /// for any value, so this is NOT part of the fingerprint).
+  /// Ignored; removed with the next benchmark change.
   unsigned threads = 1;
   /// Per-request wall-clock budget; <=0 = none.  Mapped onto the PR-1
   /// sat::SolveOptions::deadline plumbing (via SynthesisOptions::deadline /

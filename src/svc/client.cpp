@@ -150,13 +150,12 @@ Json Client::version() {
   return resp;
 }
 
-Json Client::synth(const std::string& g_text, const std::string& method, unsigned threads,
-                   double deadline_s, const std::string& engine) {
+Json Client::synth(const std::string& g_text, const std::string& method, double deadline_s,
+                   const std::string& engine) {
   Json j = Json::object();
   j.set("op", "synth");
   j.set("g", g_text);
   j.set("method", method);
-  j.set("threads", Json(static_cast<std::int64_t>(threads)));
   if (deadline_s > 0.0) j.set("deadline_s", Json(deadline_s));
   if (!engine.empty()) j.set("engine", engine);
   return request(j);

@@ -62,8 +62,7 @@ class Client {
   Json version();
   /// `engine` is the wire spelling ("dpll"/"cdcl", sat::engine_name); empty
   /// omits the field and lets the daemon default (dpll).
-  Json synth(const std::string& g_text, const std::string& method,
-             unsigned threads = 1, double deadline_s = 0.0,
+  Json synth(const std::string& g_text, const std::string& method, double deadline_s = 0.0,
              const std::string& engine = "");
 
   const net::Endpoint& endpoint() const { return endpoint_; }

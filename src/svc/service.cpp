@@ -56,11 +56,11 @@ std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* er
         "synth", "bad_request", "unknown engine: '" + engine_str + "' (expected dpll|cdcl)");
     return std::nullopt;
   }
-  // Range-check the numbers before they reach a cast or a clock: a
-  // fractional or negative thread count, or a deadline past the clock's
-  // range, must be a bad request, never a crash.  The thread bound is the
-  // CLIs' --threads bound; a deadline gets half the steady_clock range so
-  // now() + deadline cannot overflow.
+  // Range-check the numbers before they reach a clock: a deadline past the
+  // clock's range must be a bad request, never a crash, so it gets half the
+  // steady_clock range and now() + deadline cannot overflow.  "threads" is
+  // a protocol-v1 field that synthesis does not read; it is still checked
+  // so every client keeps getting the same answers.
   const Json* threads = req.find("threads");
   const double n = threads == nullptr ? 1.0 : threads->is_number() ? threads->as_double() : -1.0;
   if (!(n >= 0 && n <= 65536 && n == std::floor(n))) {
@@ -87,7 +87,6 @@ std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* er
     return std::nullopt;
   }
   out.options = default_request_options(method);
-  out.options.threads = static_cast<unsigned>(n);
   out.options.deadline_s = d;
   set_engine(&out.options, *engine);
   out.digest = request_digest(out.spec, out.options);
@@ -189,7 +188,6 @@ std::string Service::handle_synth(const Json& req) {
   const stg::Stg& spec = parsed->spec;
   const RequestOptions& ropts = parsed->options;
   const std::string& digest = parsed->digest;
-  span.arg("threads", ropts.threads);
 
   auto respond = [&](const std::string& payload, bool cached) -> std::string {
     Json artifact;

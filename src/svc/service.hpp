@@ -16,8 +16,8 @@
 // Error responses: {"ok":false,"op":"<op>","kind":"<k>","error":"<msg>"}
 // with kind in {bad_request, parse, overloaded, internal, version}.  A
 // synth request is a bad_request unless threads is an integer in 0..65536
-// (0 = one per hardware thread) and deadline_s is finite, non-negative and
-// small enough for a steady_clock deadline.  A synthesis that *ran* but
+// (a protocol-v1 field, accepted and otherwise ignored) and deadline_s is
+// finite, non-negative and small enough for a steady_clock deadline.  A synthesis that *ran* but
 // failed (CSC unresolved, deadline fired) is NOT a protocol error: the
 // response is ok:true with artifact.success=false, mirroring mps_synth's
 // exit-1-with-reason behaviour.

@@ -8,9 +8,9 @@
 namespace mps::util {
 
 namespace {
-/// Process-wide worker numbering: lanes from different pools (the table1
-/// row pool, each synthesis call's module pool) stay distinguishable in a
-/// trace even though every pool starts its own workers at 0.
+/// Process-wide worker numbering: lanes from different pools stay
+/// distinguishable in a trace even though every pool starts its own
+/// workers at 0.
 std::atomic<int> g_worker_seq{0};
 }  // namespace
 

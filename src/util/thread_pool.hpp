@@ -1,12 +1,11 @@
 // A minimal fixed-size worker pool for fork-join parallelism.
 //
-// The synthesis flow has two embarrassingly-parallel loops (per-output
-// modules, per-benchmark table rows).  Both follow the same discipline:
-// workers *execute* in whatever order the scheduler picks, but every task
-// writes its result into a slot indexed by its task id, and the caller
-// *consumes* the slots strictly in index order.  Execution order varies,
-// result order never does — that is what keeps parallel runs bit-identical
-// to serial ones.
+// Used for embarrassingly-parallel loops such as bench/table1's
+// per-benchmark rows.  The discipline: workers *execute* in whatever order
+// the scheduler picks, but every task writes its result into a slot indexed
+// by its task id, and the caller *consumes* the slots strictly in index
+// order.  Execution order varies, result order never does — that is what
+// keeps parallel runs bit-identical to serial ones.
 #pragma once
 
 #include <condition_variable>

@@ -247,43 +247,6 @@ TEST(Synthesis, StgOverloadContractsDummies) {
   }
 }
 
-// The determinism guarantee behind SynthesisOptions::num_threads
-// (DESIGN.md "Parallel synthesis"): any thread count yields the same
-// synthesis, bit for bit, as the fully serial flow — across the whole
-// Table-1 benchmark suite.
-TEST(Synthesis, ParallelMatchesSerialOnBenchmarkSuite) {
-  for (const auto& b : benchmarks::table1_benchmarks()) {
-    const auto g = sg::StateGraph::from_stg(b.make());
-
-    core::SynthesisOptions serial;
-    serial.num_threads = 1;
-    const auto s = core::modular_synthesis(g, serial);
-
-    core::SynthesisOptions parallel = serial;
-    parallel.num_threads = 4;
-    const auto p = core::modular_synthesis(g, parallel);
-
-    EXPECT_EQ(p.success, s.success) << b.name;
-    EXPECT_EQ(p.final_states, s.final_states) << b.name;
-    EXPECT_EQ(p.final_signals, s.final_signals) << b.name;
-    EXPECT_EQ(p.total_literals, s.total_literals) << b.name;
-    EXPECT_EQ(p.rounds, s.rounds) << b.name;
-    ASSERT_EQ(p.covers.size(), s.covers.size()) << b.name;
-    for (std::size_t i = 0; i < s.covers.size(); ++i) {
-      EXPECT_EQ(p.covers[i].first, s.covers[i].first) << b.name;
-      EXPECT_EQ(p.covers[i].second.to_string(), s.covers[i].second.to_string())
-          << b.name << " signal " << s.covers[i].first;
-    }
-    // The per-module reports line up too (same outputs, same formulas).
-    ASSERT_EQ(p.modules.size(), s.modules.size()) << b.name;
-    for (std::size_t i = 0; i < s.modules.size(); ++i) {
-      EXPECT_EQ(p.modules[i].output, s.modules[i].output) << b.name;
-      EXPECT_EQ(p.modules[i].new_signals, s.modules[i].new_signals) << b.name;
-      EXPECT_EQ(p.modules[i].module_states, s.modules[i].module_states) << b.name;
-    }
-  }
-}
-
 TEST(Synthesis, ModuleReportsRecordWallTime) {
   const auto r = core::modular_synthesis(toggle_stg());
   ASSERT_TRUE(r.success);

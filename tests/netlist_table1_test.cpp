@@ -18,9 +18,7 @@ using namespace mps;
 
 TEST(NetlistTable1, ModularNetlistsVerifyAndRoundTripOnAllBenchmarks) {
   for (const auto& b : benchmarks::table1_benchmarks()) {
-    core::SynthesisOptions opts;
-    opts.num_threads = 1;
-    const auto r = core::modular_synthesis(sg::StateGraph::from_stg(b.make()), opts);
+    const auto r = core::modular_synthesis(sg::StateGraph::from_stg(b.make()));
     ASSERT_TRUE(r.success) << b.name << ": " << r.failure_reason;
 
     const auto n = netlist::build_netlist(r.final_graph, r.covers);

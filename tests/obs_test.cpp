@@ -5,6 +5,7 @@
 #include <atomic>
 #include <string>
 
+#include "benchmarks/benchmarks.hpp"
 #include "core/synthesis.hpp"
 #include "encoding/csc_sat.hpp"
 #include "sat/solver.hpp"
@@ -103,20 +104,27 @@ TEST_F(Obs, SolverEmitsSpanAndCounters) {
   EXPECT_NE(trace.find("\"outcome\""), std::string::npos);
 }
 
-TEST_F(Obs, SynthesisEmitsModuleAndWaveSpans) {
+TEST_F(Obs, SynthesisEmitsModuleAndExpandSpans) {
   obs::set_enabled(true);
-  const auto r = core::modular_synthesis(sg::StateGraph::from_stg(toggle_stg()));
+  // mmu0 inserts signals from three of its four modules, so the totals
+  // below sum over several solves.
+  const auto r = core::modular_synthesis(
+      sg::StateGraph::from_stg(benchmarks::find_benchmark("mmu0")->make()));
   ASSERT_TRUE(r.success) << r.failure_reason;
+  std::size_t inserting = 0;
+  for (const auto& m : r.modules) inserting += m.new_signals > 0 ? 1 : 0;
+  ASSERT_GE(inserting, 2u);
   const std::string trace = obs::chrome_trace_json();
   EXPECT_NE(trace.find("\"synth.modular\""), std::string::npos);
-  EXPECT_NE(trace.find("\"synth.wave\""), std::string::npos);
   EXPECT_NE(trace.find("\"synth.module\""), std::string::npos);
+  EXPECT_NE(trace.find("\"sg.expand\""), std::string::npos);
   EXPECT_NE(trace.find("\"sg.infer_codes\""), std::string::npos);
   EXPECT_NE(trace.find("\"sg.analyze_csc\""), std::string::npos);
-  // The totals surfaced on the result are the same numbers the counters saw
-  // for adopted modules; counters additionally include cancelled/speculative
-  // work, so they can only be >=.
-  EXPECT_GE(obs::counter_value("sat.decisions"), r.solver_totals.decisions);
+  // Every solve the flow runs feeds its result, so the totals surfaced on
+  // the result are exactly the numbers the counters saw.
+  EXPECT_EQ(obs::counter_value("sat.decisions"), r.solver_totals.decisions);
+  EXPECT_EQ(obs::counter_value("sat.propagations"), r.solver_totals.propagations);
+  EXPECT_EQ(obs::counter_value("sat.conflicts"), r.solver_totals.conflicts);
 }
 
 TEST_F(Obs, PoolTasksGetSpansAndWorkerLanes) {

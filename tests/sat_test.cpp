@@ -307,17 +307,6 @@ TEST(Solver, PropagationHeavyInstanceIsSatWithoutLimits) {
   EXPECT_EQ(stats.backtracks, 0);
 }
 
-TEST(Solver, InterruptTokenStopsSearch) {
-  std::atomic<bool> interrupt{true};  // pre-set: must stop at the first check
-  SolveOptions opts;
-  opts.interrupt = &interrupt;
-  mps::util::Timer timer;
-  EXPECT_EQ(Solver().solve(pigeonhole(8, 7), nullptr, nullptr, opts), Outcome::Limit);
-  EXPECT_LT(timer.seconds(), 1.0);
-  interrupt = false;
-  EXPECT_EQ(Solver().solve(pigeonhole(4, 3), nullptr, nullptr, opts), Outcome::Unsat);
-}
-
 TEST(Solver, DeadlineStopsSearch) {
   SolveOptions opts;
   opts.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
@@ -517,12 +506,8 @@ TEST(Cdcl, TimeLimitHonoredWithoutConflicts) {
   EXPECT_LT(timer.seconds(), 5.0);
 }
 
-TEST(Cdcl, InterruptAndDeadlineStopSearch) {
-  std::atomic<bool> interrupt{true};
+TEST(Cdcl, DeadlineStopsSearch) {
   SolveOptions opts = cdcl_opts();
-  opts.interrupt = &interrupt;
-  EXPECT_EQ(Solver().solve(pigeonhole(8, 7), nullptr, nullptr, opts), Outcome::Limit);
-  interrupt = false;
   opts.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
   EXPECT_EQ(Solver().solve(pigeonhole(8, 7), nullptr, nullptr, opts), Outcome::Limit);
   opts.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);

@@ -136,7 +136,7 @@ TEST(SvcSoak, QueueOverflowAnswersOverloadedImmediately) {
   std::string resp_a, resp_b;
   std::thread client_a([&] {
     svc::Client c(socket);
-    resp_a = c.synth(g_text, "modular", 1, 1000.0).dump();
+    resp_a = c.synth(g_text, "modular", 1000.0).dump();
   });
 
   svc::Client watcher(socket);
@@ -146,7 +146,7 @@ TEST(SvcSoak, QueueOverflowAnswersOverloadedImmediately) {
 
   std::thread client_b([&] {
     svc::Client c(socket);
-    resp_b = c.synth(g_text, "modular", 1, 1001.0).dump();
+    resp_b = c.synth(g_text, "modular", 1001.0).dump();
   });
   ASSERT_TRUE(wait_for_stats(watcher, [](const svc::Json& s) {
     return s.find("scheduler")->get_int("queue_depth", 0) == 1;
@@ -155,7 +155,7 @@ TEST(SvcSoak, QueueOverflowAnswersOverloadedImmediately) {
   // C: queue full ⇒ immediate overloaded error, connection still healthy.
   svc::Client client_c(socket);
   const auto t0 = std::chrono::steady_clock::now();
-  const svc::Json resp_c = client_c.synth(g_text, "modular", 1, 1002.0);
+  const svc::Json resp_c = client_c.synth(g_text, "modular", 1002.0);
   const double reject_s = std::chrono::duration<double>(
       std::chrono::steady_clock::now() - t0).count();
   EXPECT_FALSE(resp_c.get_bool("ok", true));

@@ -346,7 +346,7 @@ TEST(SvcFingerprint, ThreadsAreExcludedResultAffectingFieldsIncluded) {
   svc::RequestOptions threads8 = base;
   threads8.threads = 8;
   EXPECT_EQ(svc::request_fingerprint(base), svc::request_fingerprint(threads8))
-      << "num_threads must not change the cache key (results are bit-identical)";
+      << "the ignored threads field must not change the cache key";
 
   svc::RequestOptions deadline = base;
   deadline.deadline_s = 5.0;

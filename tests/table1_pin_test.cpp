@@ -93,9 +93,7 @@ TEST(Table1Pin, ModularQualityColumnsArePinned) {
     EXPECT_EQ(g.num_states(), pin.init_states) << pin.name;
     EXPECT_EQ(g.num_signals(), pin.init_signals) << pin.name;
 
-    core::SynthesisOptions opts;
-    opts.num_threads = 1;  // same per-row configuration as bench/table1
-    const auto m = core::modular_synthesis(g, opts);
+    const auto m = core::modular_synthesis(g);
     ASSERT_TRUE(m.success) << pin.name;
     EXPECT_EQ(m.final_states, pin.states) << pin.name;
     EXPECT_EQ(m.final_signals, pin.signals) << pin.name;
@@ -114,9 +112,7 @@ TEST(Table1Pin, ModularCoversArePinned) {
   for (const ModularPin& pin : kModularPins) {
     const auto* b = benchmarks::find_benchmark(pin.name);
     ASSERT_NE(b, nullptr) << pin.name;
-    core::SynthesisOptions opts;
-    opts.num_threads = 1;
-    const auto m = core::modular_synthesis(sg::StateGraph::from_stg(b->make()), opts);
+    const auto m = core::modular_synthesis(sg::StateGraph::from_stg(b->make()));
     ASSERT_TRUE(m.success) << pin.name;
     EXPECT_EQ(svc::sha256_hex(covers_text(m)), pin.covers_sha256) << pin.name << "\n"
                                                                   << covers_text(m);
