@@ -1,9 +1,6 @@
-// Ablations over the design choices DESIGN.md calls out:
-//   1. input-set hiding order (Figure 2 leaves it unspecified),
-//   2. lower-bound seeding of the signal-count loop (Figure 4),
-//   3. input properness (not in the paper's constraint set; see DESIGN.md),
-//   4. WalkSAT front end vs pure DPLL in partition_sat,
-//   5. naive vs Tseitin separation encoding.
+// Ablations over the encoding choices DESIGN.md calls out:
+//   1. input properness (not in the paper's constraint set; see DESIGN.md),
+//   2. naive vs Tseitin separation encoding.
 // Each variant runs the modular flow over a fixed benchmark set and prints
 // inserted signals / final states / area / time.
 #include <cstdio>
@@ -55,42 +52,12 @@ int main() {
   std::printf("Ablations over %zu benchmarks (totals across the set)\n\n", kSet.size());
 
   {
-    std::printf("-- input-set hiding order (Fig. 2 greedy) --\n");
-    for (const auto [order, label] :
-         {std::pair{core::InputSetOptions::Order::SignalId, "signal-id order (default)"},
-          std::pair{core::InputSetOptions::Order::FewestEdgesFirst, "fewest-edges first"},
-          std::pair{core::InputSetOptions::Order::MostEdgesFirst, "most-edges first"}}) {
-      core::SynthesisOptions opts;
-      opts.input_set.order = order;
-      report(label, run(opts));
-    }
-  }
-  {
-    std::printf("\n-- lower-bound seeding of the m loop (Fig. 4) --\n");
-    core::SynthesisOptions with;
-    report("start at lower bound (default)", run(with));
-    core::SynthesisOptions without;
-    without.sat.seed_lower_bound = false;
-    report("always start at m = 1", run(without));
-  }
-  {
-    std::printf("\n-- input properness (extra constraint, not in the paper) --\n");
+    std::printf("-- input properness (extra constraint, not in the paper) --\n");
     core::SynthesisOptions off;
     report("off (paper-faithful, default)", run(off));
     core::SynthesisOptions on;
     on.sat.encode.input_properness = true;
     report("on (inputs never delayed)", run(on));
-  }
-  {
-    std::printf("\n-- SAT back end for the module formulas --\n");
-    core::SynthesisOptions dpll;
-    report("DPLL only (default)", run(dpll));
-    core::SynthesisOptions walk;
-    walk.sat.use_local_search = true;
-    report("WalkSAT first, DPLL fallback", run(walk));
-    core::SynthesisOptions bdd;
-    bdd.sat.use_bdd = true;
-    report("BDD characteristic function [19]", run(bdd));
   }
   {
     std::printf("\n-- separation clause encoding --\n");

@@ -40,11 +40,16 @@ LavagnoResult lavagno_synthesis(const sg::StateGraph& input, const LavagnoOption
   util::Timer timer;
   LavagnoResult result;
 
-  sg::StateGraph g = input;
+  sg::StateGraph g = sg::contract_silent(input);
   result.initial_states = g.num_states();
   result.initial_signals = g.num_signals();
 
   for (int iter = 0; iter < opts.max_insertions; ++iter) {
+    if (sat::deadline_passed(opts.solve.deadline)) {
+      result.hit_limit = true;
+      result.failure_reason = "deadline exceeded";
+      break;
+    }
     if (opts.time_limit_s > 0 && timer.seconds() > opts.time_limit_s) {
       result.hit_limit = true;
       result.failure_reason = "time limit";
@@ -77,19 +82,8 @@ LavagnoResult lavagno_synthesis(const sg::StateGraph& input, const LavagnoOption
         continue;
       }
       if (outcome == sat::Outcome::Sat) {
-        sg::Assignments decoded(g.num_states());
-        enc.decode(model, &decoded, "x" + std::to_string(g.num_signals()) + "_");
-        for (std::size_t k = 0; k < decoded.num_signals(); ++k) {
-          const auto& vals = decoded.values(k);
-          bool constant = true;
-          for (const sg::V4 v : vals) {
-            if (v != vals.front()) {
-              constant = false;
-              break;
-            }
-          }
-          if (!constant) assigns.add_signal(decoded.name(k), std::vector<sg::V4>(vals));
-        }
+        core::decode_varying(enc, model, "x" + std::to_string(g.num_signals()) + "_",
+                             &assigns);
         solved = !assigns.empty();
       }
     }
@@ -108,8 +102,7 @@ LavagnoResult lavagno_synthesis(const sg::StateGraph& input, const LavagnoOption
     result.insertions += static_cast<int>(assigns.num_signals());
   }
 
-  const auto final_analysis = sg::analyze_csc(g);
-  result.success = final_analysis.satisfied();
+  result.success = result.failure_reason.empty() && sg::analyze_csc(g).satisfied();
   if (result.success) result.hit_limit = false;  // transient per-attempt limits recovered
   if (!result.success && result.failure_reason.empty()) {
     result.failure_reason = "insertion budget exhausted";
@@ -127,15 +120,7 @@ LavagnoResult lavagno_synthesis(const sg::StateGraph& input, const LavagnoOption
 }
 
 LavagnoResult lavagno_synthesis(const stg::Stg& stg, const LavagnoOptions& opts) {
-  sg::StateGraph g = sg::StateGraph::from_stg(stg);
-  bool silent = false;
-  for (sg::StateId s = 0; s < g.num_states() && !silent; ++s) {
-    for (const sg::Edge& e : g.out(s)) {
-      if (e.is_silent()) silent = true;
-    }
-  }
-  if (silent) g = sg::contract_silent(g);
-  return lavagno_synthesis(g, opts);
+  return lavagno_synthesis(sg::StateGraph::from_stg(stg), opts);
 }
 
 }  // namespace mps::baseline

@@ -13,11 +13,16 @@ DirectResult direct_synthesis(const sg::StateGraph& input, const DirectOptions& 
   util::Timer timer;
   DirectResult result;
 
-  sg::StateGraph g = input;
+  sg::StateGraph g = sg::contract_silent(input);
   result.initial_states = g.num_states();
   result.initial_signals = g.num_signals();
 
   for (int round = 1; round <= opts.max_rounds; ++round) {
+    if (sat::deadline_passed(opts.solve.deadline)) {
+      result.hit_limit = true;
+      result.failure_reason = "deadline exceeded";
+      break;
+    }
     const auto analysis = sg::analyze_csc(g);
     if (analysis.satisfied()) break;
     result.rounds = round;
@@ -28,50 +33,31 @@ DirectResult direct_synthesis(const sg::StateGraph& input, const DirectOptions& 
     for (; m <= opts.max_new_signals; ++m) {
       const encoding::Encoding enc(g, m, analysis.conflicts, analysis.compatible_pairs,
                                    opts.encode);
-      core::FormulaStat stat;
-      stat.num_new_signals = m;
-      stat.num_vars = enc.cnf().num_vars();
-      stat.num_clauses = enc.cnf().num_clauses();
-
-      util::Timer attempt;
       sat::Model model;
-      sat::SolveStats sstats;
-      const sat::Outcome outcome = sat::Solver().solve(enc.cnf(), &model, &sstats, opts.solve);
-      stat.outcome = outcome;
-      stat.backtracks = sstats.backtracks;
-      stat.conflicts = sstats.conflicts;
-      stat.decisions = sstats.decisions;
-      stat.propagations = sstats.propagations;
-      stat.restarts = sstats.restarts;
-      stat.learned = sstats.learned;
-      stat.seconds = attempt.seconds();
-      result.formulas.push_back(stat);
-      result.solver_totals.add(sstats);
-
-      if (outcome == sat::Outcome::Limit) {
+      result.formulas.push_back(core::solve_formula(enc, opts.solve, &model));
+      const core::FormulaStat& stat = result.formulas.back();
+      result.solver_totals.add(stat);
+      if (stat.outcome == sat::Outcome::Limit) {
         result.hit_limit = true;
         result.failure_reason = "SAT backtrack/time limit on the direct formula";
-        result.final_states = g.num_states();
-        result.final_signals = g.num_signals();
-        result.final_graph = std::move(g);
-        result.seconds = timer.seconds();
-        return result;
+        break;
       }
-      if (outcome == sat::Outcome::Sat) {
+      if (stat.outcome == sat::Outcome::Sat) {
         enc.decode(model, &assigns, "csc" + std::to_string(g.num_signals()) + "_");
         solved = true;
         break;
       }
     }
     if (!solved) {
-      result.failure_reason = "no assignment within the state-signal bound";
+      if (result.failure_reason.empty()) {
+        result.failure_reason = "no assignment within the state-signal bound";
+      }
       break;
     }
     g = sg::expand(g, assigns, /*check_consistency=*/false).graph;
   }
 
-  const auto final_analysis = sg::analyze_csc(g);
-  result.success = final_analysis.satisfied();
+  result.success = result.failure_reason.empty() && sg::analyze_csc(g).satisfied();
   result.final_states = g.num_states();
   result.final_signals = g.num_signals();
   result.final_graph = std::move(g);
@@ -84,16 +70,7 @@ DirectResult direct_synthesis(const sg::StateGraph& input, const DirectOptions& 
 }
 
 DirectResult direct_synthesis(const stg::Stg& stg, const DirectOptions& opts) {
-  sg::StateGraph g = sg::StateGraph::from_stg(stg);
-  // Mirror the modular flow's handling of dummy transitions.
-  bool silent = false;
-  for (sg::StateId s = 0; s < g.num_states() && !silent; ++s) {
-    for (const sg::Edge& e : g.out(s)) {
-      if (e.is_silent()) silent = true;
-    }
-  }
-  if (silent) g = sg::contract_silent(g);
-  return direct_synthesis(g, opts);
+  return direct_synthesis(sg::StateGraph::from_stg(stg), opts);
 }
 
 }  // namespace mps::baseline

@@ -1,6 +1,5 @@
 #include "core/input_set.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "sg/csc.hpp"
@@ -58,7 +57,7 @@ std::optional<ProbeResult> probe(const sg::StateGraph& g, sg::SignalId o,
 }  // namespace
 
 InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
-                                   const sg::Assignments& assigns, const InputSetOptions& opts) {
+                                   const sg::Assignments& assigns, const InputSetOptions&) {
   MPS_ASSERT(o < g.num_signals());
   InputSetResult result;
   result.triggers = sg_trigger_signals(g, o);
@@ -70,23 +69,9 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
   result.kept.set(o);
   for (const sg::SignalId t : result.triggers) result.kept.set(t);
 
-  std::vector<sg::SignalId> candidates;
+  std::vector<sg::SignalId> pending;
   for (sg::SignalId s = 0; s < g.num_signals(); ++s) {
-    if (!result.kept.test(s)) candidates.push_back(s);
-  }
-  if (opts.order != InputSetOptions::Order::SignalId) {
-    std::vector<std::size_t> edge_count(g.num_signals(), 0);
-    for (sg::StateId st = 0; st < g.num_states(); ++st) {
-      for (const sg::Edge& e : g.out(st)) {
-        if (!e.is_silent()) ++edge_count[e.sig];
-      }
-    }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&](sg::SignalId a, sg::SignalId b) {
-                       return opts.order == InputSetOptions::Order::FewestEdgesFirst
-                                  ? edge_count[a] < edge_count[b]
-                                  : edge_count[a] > edge_count[b];
-                     });
+    if (!result.kept.test(s)) pending.push_back(s);
   }
 
   // Baseline conflicts/lower-bound on the unhidden graph.
@@ -98,7 +83,6 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
   // Greedy hiding (Figure 2 main loop), iterated to a fixed point: a
   // signal rejected early in the pass can become hideable once later
   // signals are gone, so re-try the rejects until nothing changes.
-  std::vector<sg::SignalId> pending = candidates;
   for (int pass = 0; pass < 4 && !pending.empty(); ++pass) {
     std::vector<sg::SignalId> rejected;
     for (const sg::SignalId s : pending) {

@@ -13,16 +13,8 @@
 
 namespace mps::core {
 
-struct InputSetOptions {
-  /// Candidate-hiding order (ablation knob; the paper leaves it
-  /// unspecified).
-  enum class Order {
-    SignalId,            ///< ascending id (default)
-    FewestEdgesFirst,    ///< try to hide rarely-switching signals first
-    MostEdgesFirst,
-  };
-  Order order = Order::SignalId;
-};
+/// No fields; kept only because `perfbench/` passes it.
+struct InputSetOptions {};
 
 struct InputSetResult {
   /// kept.test(s) — signal s is in I_S(o) ∪ {o}.

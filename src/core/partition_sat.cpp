@@ -2,11 +2,41 @@
 
 #include <algorithm>
 
-#include "bdd/csc_bdd.hpp"
-#include "sat/local_search.hpp"
 #include "util/common.hpp"
 
 namespace mps::core {
+
+FormulaStat solve_formula(const encoding::Encoding& enc, const sat::SolveOptions& opts,
+                          sat::Model* model) {
+  FormulaStat stat;
+  stat.num_new_signals = enc.num_new_signals();
+  stat.num_vars = enc.cnf().num_vars();
+  stat.num_clauses = enc.cnf().num_clauses();
+  util::Timer timer;
+  sat::SolveStats sstats;
+  stat.outcome = sat::Solver().solve(enc.cnf(), model, &sstats, opts);
+  stat.seconds = timer.seconds();
+  stat.backtracks = sstats.backtracks;
+  stat.conflicts = sstats.conflicts;
+  stat.decisions = sstats.decisions;
+  stat.propagations = sstats.propagations;
+  stat.restarts = sstats.restarts;
+  stat.learned = sstats.learned;
+  return stat;
+}
+
+void decode_varying(const encoding::Encoding& enc, const sat::Model& model,
+                    const std::string& name_prefix, sg::Assignments* out) {
+  sg::Assignments decoded(out->num_states());
+  enc.decode(model, &decoded, name_prefix);
+  for (std::size_t k = 0; k < decoded.num_signals(); ++k) {
+    const auto& vals = decoded.values(k);
+    if (std::all_of(vals.begin(), vals.end(), [&](sg::V4 v) { return v == vals.front(); })) {
+      continue;
+    }
+    out->add_signal(decoded.name(k), std::vector<sg::V4>(vals));
+  }
+}
 
 PartitionSatResult partition_sat(const ModuleGraph& module, const std::string& name_prefix,
                                  const PartitionSatOptions& opts) {
@@ -17,80 +47,21 @@ PartitionSatResult partition_sat(const ModuleGraph& module, const std::string& n
     return result;
   }
 
-  std::size_t m = opts.seed_lower_bound
-                      ? static_cast<std::size_t>(std::max(1, module.lower_bound))
-                      : 1;
-  for (; m <= opts.max_new_signals; ++m) {
+  // Figure 4: start at the module's lower bound; on UNSAT add a state
+  // signal.  Outcome::Limit escalates m the same way: a larger signal
+  // count often has easy solutions where the smaller formula was a hard
+  // (likely unsatisfiable) instance.
+  for (std::size_t m = static_cast<std::size_t>(std::max(1, module.lower_bound));
+       m <= opts.max_new_signals; ++m) {
     const encoding::Encoding enc(module.proj.graph, m, module.conflicts,
                                  module.compatible_pairs, opts.encode);
-
-    FormulaStat stat;
-    stat.num_new_signals = m;
-    stat.num_vars = enc.cnf().num_vars();
-    stat.num_clauses = enc.cnf().num_clauses();
-
     sat::Model model;
-    bool sat_found = false;
-    bool bdd_proved_unsat = false;
-    util::Timer timer;
-    if (opts.use_bdd) {
-      try {
-        if (const auto m_bdd = bdd::solve_cnf_bdd(enc.cnf()); m_bdd.has_value()) {
-          model = *m_bdd;
-          sat_found = true;
-        } else {
-          bdd_proved_unsat = true;
-        }
-      } catch (const util::LimitError&) {
-        // BDD blow-up: fall through to the search-based solvers.
-      }
-    }
-    if (!sat_found && !bdd_proved_unsat && opts.use_local_search) {
-      sat_found = sat::walksat(enc.cnf(), &model);
-    }
-    if (!sat_found && !bdd_proved_unsat) {
-      sat::SolveStats sstats;
-      const sat::Outcome outcome =
-          sat::Solver().solve(enc.cnf(), &model, &sstats, opts.solve);
-      stat.outcome = outcome;
-      stat.backtracks = sstats.backtracks;
-      stat.conflicts = sstats.conflicts;
-      stat.decisions = sstats.decisions;
-      stat.propagations = sstats.propagations;
-      stat.restarts = sstats.restarts;
-      stat.learned = sstats.learned;
-      sat_found = outcome == sat::Outcome::Sat;
-      // On Outcome::Limit fall through: treat like Unsat and escalate m —
-      // a larger signal count often has easy solutions where the smaller
-      // formula was a hard (likely unsatisfiable) instance.
-    } else {
-      stat.outcome = sat_found ? sat::Outcome::Sat : sat::Outcome::Unsat;
-    }
-    stat.seconds = timer.seconds();
-    result.formulas.push_back(stat);
-
-    if (sat_found) {
-      sg::Assignments decoded(module.proj.graph.num_states());
-      enc.decode(model, &decoded, name_prefix);
-      // A constant signal separates nothing: the bound overshot; drop it.
-      for (std::size_t k = 0; k < decoded.num_signals(); ++k) {
-        const auto& vals = decoded.values(k);
-        bool constant = true;
-        for (const sg::V4 v : vals) {
-          if (v != vals.front()) {
-            constant = false;
-            break;
-          }
-        }
-        if (!constant) {
-          result.module_assignments.add_signal(decoded.name(k),
-                                               std::vector<sg::V4>(vals));
-        }
-      }
+    result.formulas.push_back(solve_formula(enc, opts.solve, &model));
+    if (result.formulas.back().outcome == sat::Outcome::Sat) {
+      decode_varying(enc, model, name_prefix, &result.module_assignments);
       result.success = true;
       return result;
     }
-    // UNSAT with m signals: add a state signal (Figure 4 while-loop).
   }
   return result;
 }

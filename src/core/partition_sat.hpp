@@ -20,8 +20,7 @@ struct FormulaStat {
   std::size_t num_clauses = 0;
   sat::Outcome outcome = sat::Outcome::Unsat;
   double seconds = 0.0;
-  /// Search effort (zero when the BDD or local-search path solved the
-  /// formula first).  `backtracks` counts chronological backtracks (DPLL)
+  /// Search effort.  `backtracks` counts chronological backtracks (DPLL)
   /// or backjumps (CDCL); `conflicts` is the engine-independent effort
   /// measure the solver totals aggregate.
   std::int64_t backtracks = 0;
@@ -38,18 +37,18 @@ struct PartitionSatOptions {
   /// a backtrack cap keeps a single module from stalling the flow (the
   /// rescue path then finishes the job on the complete graph).
   sat::SolveOptions solve{.max_backtracks = 150'000, .time_limit_s = 5.0};
-  /// Try WalkSAT before DPLL (Gu-style local search; cannot prove UNSAT,
-  /// so DPLL remains the decision procedure).
-  bool use_local_search = false;
-  /// Solve module formulas by BDD characteristic functions first (the
-  /// paper's ref. [19] divide-and-conquer follow-up); falls back to DPLL
-  /// when the BDD blows past its node cap.
-  bool use_bdd = false;
   std::size_t max_new_signals = 10;
-  /// Start the signal-count loop at the module's lower bound (Figure 4);
-  /// off = always start at 1 (ablation knob).
-  bool seed_lower_bound = true;
 };
+
+/// Solve one CSC formula with sat::Solver and record its size, outcome,
+/// wall time and search effort.  On Sat, `*model` receives the assignment.
+FormulaStat solve_formula(const encoding::Encoding& enc, const sat::SolveOptions& opts,
+                          sat::Model* model);
+
+/// Decode `model` and append each new signal that is not constant to `*out`:
+/// a constant signal separates nothing (the signal-count bound overshot).
+void decode_varying(const encoding::Encoding& enc, const sat::Model& model,
+                    const std::string& name_prefix, sg::Assignments* out);
 
 struct PartitionSatResult {
   bool success = false;

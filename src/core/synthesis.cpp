@@ -1,27 +1,16 @@
 #include "core/synthesis.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "logic/extract.hpp"
 #include "obs/obs.hpp"
 #include "sg/csc.hpp"
 #include "sg/projection.hpp"
 #include "util/common.hpp"
-#include "util/text.hpp"
 
 namespace mps::core {
 
 namespace {
-
-bool has_silent_edges(const sg::StateGraph& g) {
-  for (sg::StateId s = 0; s < g.num_states(); ++s) {
-    for (const sg::Edge& e : g.out(s)) {
-      if (e.is_silent()) return true;
-    }
-  }
-  return false;
-}
 
 /// Rescue path: when every per-output module reports no conflicts but the
 /// complete graph still violates CSC (conflicting states merged away by
@@ -36,23 +25,9 @@ bool rescue_direct(const sg::StateGraph& g, const PartitionSatOptions& opts,
   for (; m <= opts.max_new_signals; ++m) {
     const encoding::Encoding enc(g, m, analysis.conflicts, analysis.compatible_pairs,
                                  opts.encode);
-    FormulaStat stat;
-    stat.num_new_signals = m;
-    stat.num_vars = enc.cnf().num_vars();
-    stat.num_clauses = enc.cnf().num_clauses();
-    util::Timer timer;
     sat::Model model;
-    sat::SolveStats sstats;
-    const sat::Outcome outcome = sat::Solver().solve(enc.cnf(), &model, &sstats, opts.solve);
-    stat.outcome = outcome;
-    stat.backtracks = sstats.backtracks;
-    stat.conflicts = sstats.conflicts;
-    stat.decisions = sstats.decisions;
-    stat.propagations = sstats.propagations;
-    stat.restarts = sstats.restarts;
-    stat.learned = sstats.learned;
-    stat.seconds = timer.seconds();
-    formulas->push_back(stat);
+    formulas->push_back(solve_formula(enc, opts.solve, &model));
+    const sat::Outcome outcome = formulas->back().outcome;
     if (outcome == sat::Outcome::Sat) {
       sg::Assignments fresh(g.num_states());
       enc.decode(model, &fresh, "rescue");
@@ -79,12 +54,12 @@ struct ModuleWork {
 /// Compute the module of output `o` against the state-signal assignments
 /// accumulated so far this round.
 ModuleWork compute_module(const sg::StateGraph& g, sg::SignalId o,
-                          const sg::Assignments& assigns, const SynthesisOptions& opts,
-                          int round, std::chrono::steady_clock::time_point deadline) {
+                          const sg::Assignments& assigns, const PartitionSatOptions& sat_opts,
+                          int round) {
   util::Timer timer;
   obs::Span span("synth.module", g.signal(o).name);
   span.arg("round", round);
-  const InputSetResult isr = determine_input_set(g, o, assigns, opts.input_set);
+  const InputSetResult isr = determine_input_set(g, o, assigns);
   ModuleWork w;
   w.module = build_module(g, o, isr, assigns);
 
@@ -94,11 +69,7 @@ ModuleWork compute_module(const sg::StateGraph& g, sg::SignalId o,
   w.report.module_states = w.module.proj.graph.num_states();
   w.report.module_conflicts = w.module.conflicts.size();
 
-  if (!w.module.conflicts.empty()) {
-    PartitionSatOptions sat_opts = opts.sat;
-    sat_opts.solve.deadline = deadline;
-    w.psr = partition_sat(w.module, "m", sat_opts);
-  }
+  if (!w.module.conflicts.empty()) w.psr = partition_sat(w.module, "m", sat_opts);
   w.report.seconds = timer.seconds();
   span.arg("module_states", static_cast<std::int64_t>(w.report.module_states));
   span.arg("conflicts", static_cast<std::int64_t>(w.report.module_conflicts));
@@ -126,17 +97,19 @@ SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOp
   obs::Span synth_span("synth.modular");
   SynthesisResult result;
 
-  sg::StateGraph g = has_silent_edges(input) ? sg::contract_silent(input) : input;
+  sg::StateGraph g = sg::contract_silent(input);
   result.initial_states = g.num_states();
   result.initial_signals = g.num_signals();
+  // The request deadline is the flow's one deadline: every solve gets it.
+  PartitionSatOptions sat_opts = opts.sat;
+  sat_opts.solve.deadline = opts.deadline;
 
   bool failed = false;
   for (int round = 1; round <= opts.max_rounds; ++round) {
     // Deadline first: an already-expired request must fail fast even when
     // the spec happens to be conflict-free (the service layer relies on
     // this to bound per-request work).
-    if (opts.deadline != std::chrono::steady_clock::time_point{} &&
-        std::chrono::steady_clock::now() >= opts.deadline) {
+    if (sat::deadline_passed(opts.deadline)) {
       result.failure_reason = "deadline exceeded";
       failed = true;
       break;
@@ -144,24 +117,13 @@ SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOp
     if (sg::analyze_csc(g).satisfied()) break;
     result.rounds = round;
 
-    std::chrono::steady_clock::time_point deadline = opts.deadline;
-    if (opts.round_time_limit_s > 0) {
-      const auto round_deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(opts.round_time_limit_s));
-      if (deadline == std::chrono::steady_clock::time_point{} || round_deadline < deadline) {
-        deadline = round_deadline;
-      }
-    }
-
     sg::Assignments assigns(g.num_states());
 
     // Figure 6 main loop: one module per output signal, in output order,
     // so output k sees the signals that outputs < k inserted this round.
     for (sg::SignalId o = 0; o < g.num_signals(); ++o) {
       if (g.is_input(o)) continue;
-      ModuleWork w = compute_module(g, o, assigns, opts, round, deadline);
+      ModuleWork w = compute_module(g, o, assigns, sat_opts, round);
       if (!w.module.conflicts.empty()) {
         w.report.formulas = w.psr.formulas;
         if (w.psr.success) {
@@ -182,9 +144,7 @@ SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOp
       report.output = "(rescue: complete graph)";
       report.round = round;
       report.module_states = g.num_states();
-      PartitionSatOptions rescue_opts = opts.sat;
-      rescue_opts.solve.deadline = deadline;
-      const bool ok = rescue_direct(g, rescue_opts, &assigns, &report.formulas);
+      const bool ok = rescue_direct(g, sat_opts, &assigns, &report.formulas);
       report.new_signals = assigns.num_signals();
       report.module_conflicts = sg::analyze_csc(g).conflicts.size();
       result.modules.push_back(std::move(report));
@@ -218,16 +178,7 @@ SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOp
         derive_all_logic(result.final_graph, opts.minimize, &result.covers);
   }
   for (const ModuleReport& m : result.modules) {
-    for (const FormulaStat& f : m.formulas) {
-      result.solver_totals.decisions += f.decisions;
-      result.solver_totals.propagations += f.propagations;
-      // Bugfix: this summed f.backtracks, which silently undercounts the
-      // moment an engine stops backtracking once per conflict (CDCL's
-      // non-chronological backjumps).
-      result.solver_totals.conflicts += f.conflicts;
-      result.solver_totals.restarts += f.restarts;
-      result.solver_totals.learned += f.learned;
-    }
+    for (const FormulaStat& f : m.formulas) result.solver_totals.add(f);
   }
   result.seconds = timer.seconds();
   synth_span.arg("rounds", result.rounds);
@@ -239,32 +190,6 @@ SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOp
 
 SynthesisResult modular_synthesis(const stg::Stg& stg, const SynthesisOptions& opts) {
   return modular_synthesis(sg::StateGraph::from_stg(stg, opts.build), opts);
-}
-
-std::string options_fingerprint(const SynthesisOptions& opts) {
-  // One key=value token per result-affecting field, ';'-joined, with a
-  // leading version token.  Doubles are rendered with %.17g (round-trip
-  // exact), enums as their integer value.
-  return util::format(
-      "core-v2;order=%d;input_properness=%d;naive_max_m=%zu;enforce_usc=%d;"
-      "engine=%d;"
-      "max_backtracks=%lld;solve_time_limit_s=%.17g;restart_interval=%lld;seed=%llu;"
-      "use_local_search=%d;use_bdd=%d;max_new_signals=%zu;seed_lower_bound=%d;"
-      "try_exact=%d;exact_max_vars=%zu;exact_max_primes=%zu;exact_max_branch_nodes=%lld;"
-      "heuristic_loops=%d;max_states=%zu;require_safe=%d;max_rounds=%d;derive_logic=%d;"
-      "round_time_limit_s=%.17g",
-      static_cast<int>(opts.input_set.order), opts.sat.encode.input_properness ? 1 : 0,
-      opts.sat.encode.naive_max_m, opts.sat.encode.enforce_usc ? 1 : 0,
-      static_cast<int>(opts.sat.solve.engine),
-      static_cast<long long>(opts.sat.solve.max_backtracks), opts.sat.solve.time_limit_s,
-      static_cast<long long>(opts.sat.solve.restart_interval),
-      static_cast<unsigned long long>(opts.sat.solve.seed),
-      opts.sat.use_local_search ? 1 : 0, opts.sat.use_bdd ? 1 : 0, opts.sat.max_new_signals,
-      opts.sat.seed_lower_bound ? 1 : 0, opts.minimize.try_exact ? 1 : 0,
-      opts.minimize.exact_max_vars, opts.minimize.exact_max_primes,
-      static_cast<long long>(opts.minimize.exact_max_branch_nodes),
-      opts.minimize.heuristic_loops, opts.build.max_states, opts.build.require_safe ? 1 : 0,
-      opts.max_rounds, opts.derive_logic ? 1 : 0, opts.round_time_limit_s);
 }
 
 }  // namespace mps::core

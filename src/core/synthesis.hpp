@@ -20,6 +20,7 @@
 namespace mps::core {
 
 struct SynthesisOptions {
+  /// Unused by the flow; kept only because `perfbench/` passes it.
   InputSetOptions input_set;
   PartitionSatOptions sat;
   logic::MinimizeOptions minimize;
@@ -31,29 +32,13 @@ struct SynthesisOptions {
   bool derive_logic = true;
   /// Ignored; removed with the next benchmark change.
   unsigned num_threads = 0;
-  /// Wall-clock budget per synthesis round, shared by all module solves of
-  /// the round as a common deadline; <=0 = unlimited.  A module whose solve
-  /// is cut off by the deadline behaves exactly like one that hit its
-  /// backtrack cap (the rescue path / next round picks up the slack), but
-  /// note that a deadline that fires makes results timing-dependent.
-  double round_time_limit_s = 0.0;
   /// Absolute wall-clock cutoff for the whole synthesis (svc:: per-request
-  /// deadlines map here); default-constructed = none.  Combines with
-  /// round_time_limit_s: every module solve gets the earlier of the two
-  /// deadlines, and a round that would start past the cutoff fails fast
-  /// with "deadline exceeded".  Like round_time_limit_s, a deadline that
-  /// fires makes results timing-dependent.
+  /// deadlines map here); default-constructed = none.  Every module solve
+  /// gets it, and a round that would start past it fails fast with
+  /// "deadline exceeded".  A deadline that fires makes results
+  /// timing-dependent.
   std::chrono::steady_clock::time_point deadline{};
 };
-
-/// Canonical text encoding of every result-affecting SynthesisOptions field
-/// (svc::Cache key material).  Excludes the ignored num_threads and the
-/// absolute `deadline` time point — callers that admit per-request
-/// deadlines must fold the requested *budget* into their own key, since a
-/// deadline that fires changes results.  The relative round_time_limit_s
-/// budget is included.  Bump the leading version token when a new
-/// result-affecting field is added.
-std::string options_fingerprint(const SynthesisOptions& opts);
 
 /// Per-output record of what the partitioning did (module sizes and the
 /// SAT formulas solved — the data behind the paper's mmu0 narrative).

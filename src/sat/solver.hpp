@@ -31,8 +31,8 @@ enum class Outcome { Sat, Unsat, Limit };
 
 /// Search engine selector.  Dpll is the paper-faithful reference whose
 /// Table-1 quality columns are bit-identity-pinned; Cdcl is the
-/// clause-learning engine.  Result-affecting: both cache fingerprints
-/// (core::options_fingerprint, svc::request_fingerprint) include it.
+/// clause-learning engine.  Result-affecting: svc::request_fingerprint
+/// includes it for every method.
 enum class Engine { Dpll, Cdcl };
 
 /// Canonical lower-case name ("dpll" / "cdcl") — the spelling shared by the
@@ -79,13 +79,19 @@ struct SolveOptions {
   std::vector<Lit>* decision_log = nullptr;
 };
 
+/// True once `deadline` is set (not default-constructed) and has passed.
+/// The synthesis flows check it before each round or insertion.
+inline bool deadline_passed(std::chrono::steady_clock::time_point deadline) {
+  return deadline != std::chrono::steady_clock::time_point{} &&
+         std::chrono::steady_clock::now() >= deadline;
+}
+
 /// The engines' one external stop check, polled periodically (not on
 /// every decision): the relative time limit, measured by `timer`, or the
 /// shared deadline has passed.
 inline bool should_stop(const SolveOptions& opts, const util::Timer& timer) {
   if (opts.time_limit_s > 0 && timer.seconds() > opts.time_limit_s) return true;
-  return opts.deadline != std::chrono::steady_clock::time_point{} &&
-         std::chrono::steady_clock::now() > opts.deadline;
+  return deadline_passed(opts.deadline);
 }
 
 /// Search statistics of one solve() call.  Also the payload of the
@@ -119,7 +125,10 @@ struct SolverTotals {
   std::int64_t restarts = 0;
   std::int64_t learned = 0;
 
-  void add(const SolveStats& s) {
+  /// Accumulate one solve's effort: a SolveStats, or any record carrying
+  /// the same five fields (core::FormulaStat).
+  template <typename Stats>
+  void add(const Stats& s) {
     decisions += s.decisions;
     propagations += s.propagations;
     conflicts += s.conflicts;

@@ -152,6 +152,15 @@ Projection hide_signals(const StateGraph& g, const util::BitVec& hide,
 }
 
 StateGraph contract_silent(const StateGraph& g) {
+  const auto has_silent_edge = [&g] {
+    for (StateId s = 0; s < g.num_states(); ++s) {
+      for (const Edge& e : g.out(s)) {
+        if (e.is_silent()) return true;
+      }
+    }
+    return false;
+  };
+  if (!has_silent_edge()) return g;
   util::BitVec hide(g.num_signals());  // hide nothing; ε edges contract anyway
   return hide_signals(g, hide).graph;
 }

@@ -38,7 +38,8 @@ struct Projection {
 Projection hide_signals(const StateGraph& g, const util::BitVec& hide,
                         const Assignments* assigns = nullptr);
 
-/// Contract only the silent (ε / dummy) edges of a graph.
+/// Contract only the silent (ε / dummy) edges of a graph; a graph without
+/// any comes back unchanged.
 StateGraph contract_silent(const StateGraph& g);
 
 }  // namespace mps::sg

@@ -17,7 +17,8 @@ namespace mps::svc {
 
 namespace {
 
-/// Result-affecting fields shared by both baseline methods' sub-structs.
+// One renderer per option struct, shared by every method's fingerprint.
+// Doubles render with %.17g (round-trip exact).
 std::string solve_fingerprint(const sat::SolveOptions& s) {
   return util::format("engine=%s;max_backtracks=%lld;solve_time_limit_s=%.17g;"
                       "restart_interval=%lld;seed=%llu",
@@ -36,6 +37,19 @@ std::string minimize_fingerprint(const logic::MinimizeOptions& m) {
                       "exact_max_branch_nodes=%lld;heuristic_loops=%d",
                       m.try_exact ? 1 : 0, m.exact_max_vars, m.exact_max_primes,
                       static_cast<long long>(m.exact_max_branch_nodes), m.heuristic_loops);
+}
+
+/// Every result-affecting SynthesisOptions field.  Excludes the ignored
+/// num_threads and input_set (no fields) and the absolute `deadline` time
+/// point: request_fingerprint folds the requested budget in instead.  Bump
+/// the version token when a result-affecting field is added.
+std::string modular_fingerprint(const core::SynthesisOptions& m) {
+  return "core-v3;" + encode_fingerprint(m.sat.encode) + ";" + solve_fingerprint(m.sat.solve) +
+         ";" + minimize_fingerprint(m.minimize) + ";" +
+         util::format("max_new_signals=%zu;max_states=%zu;require_safe=%d;max_rounds=%d;"
+                      "derive_logic=%d",
+                      m.sat.max_new_signals, m.build.max_states, m.build.require_safe ? 1 : 0,
+                      m.max_rounds, m.derive_logic ? 1 : 0);
 }
 
 std::chrono::steady_clock::time_point request_deadline(const RequestOptions& opts) {
@@ -138,7 +152,7 @@ std::string request_fingerprint(const RequestOptions& opts) {
   std::string fp =
       util::format("req-v1;method=%s;deadline_s=%.17g;", opts.method.c_str(), opts.deadline_s);
   if (opts.method == "modular") {
-    fp += core::options_fingerprint(opts.modular);
+    fp += modular_fingerprint(opts.modular);
   } else if (opts.method == "direct") {
     const auto& d = opts.direct;
     fp += "direct-v2;" + encode_fingerprint(d.encode) + ";" + solve_fingerprint(d.solve) +

@@ -3,7 +3,6 @@
 #include "bdd/bdd.hpp"
 #include "bdd/csc_bdd.hpp"
 #include "bdd/symbolic.hpp"
-#include "core/synthesis.hpp"
 #include "sat/solver.hpp"
 #include "logic/minimize.hpp"
 #include "sg/state_graph.hpp"
@@ -354,21 +353,6 @@ TEST(SolveCnfBdd, NodeCapThrows) {
   } catch (const mps::util::LimitError&) {
     SUCCEED();
   }
-}
-
-TEST(SolveCnfBdd, ModuleBackendSynthesizes) {
-  // The [19] extension end-to-end: modular synthesis with the BDD backend.
-  const auto stg = mps::stg::Builder("toggle")
-                       .outputs({"x", "y"})
-                       .path("x+", "x-", "y+", "y-")
-                       .arc("y-", "x+")
-                       .token("y-", "x+")
-                       .build();
-  mps::core::SynthesisOptions opts;
-  opts.sat.use_bdd = true;
-  const auto r = mps::core::modular_synthesis(stg, opts);
-  ASSERT_TRUE(r.success) << r.failure_reason;
-  EXPECT_EQ(r.total_literals, 7u);
 }
 
 }  // namespace

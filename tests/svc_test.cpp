@@ -360,6 +360,40 @@ TEST(SvcFingerprint, ThreadsAreExcludedResultAffectingFieldsIncluded) {
             svc::request_fingerprint(svc::default_request_options("lavagno")));
 }
 
+TEST(SvcFingerprint, EveryResultAffectingModularFieldChangesIt) {
+  // One mutation per field; a token dropped from the modular renderer
+  // would let two different configurations share a cache entry.
+  const std::vector<std::pair<const char*, void (*)(core::SynthesisOptions&)>> mutations = {
+      {"engine", [](core::SynthesisOptions& m) { m.sat.solve.engine = sat::Engine::Cdcl; }},
+      {"max_backtracks", [](core::SynthesisOptions& m) { m.sat.solve.max_backtracks += 1; }},
+      {"time_limit_s", [](core::SynthesisOptions& m) { m.sat.solve.time_limit_s += 0.5; }},
+      {"restart_interval", [](core::SynthesisOptions& m) { m.sat.solve.restart_interval += 1; }},
+      {"seed", [](core::SynthesisOptions& m) { m.sat.solve.seed += 1; }},
+      {"input_properness",
+       [](core::SynthesisOptions& m) { m.sat.encode.input_properness ^= true; }},
+      {"naive_max_m", [](core::SynthesisOptions& m) { m.sat.encode.naive_max_m += 1; }},
+      {"enforce_usc", [](core::SynthesisOptions& m) { m.sat.encode.enforce_usc ^= true; }},
+      {"max_new_signals", [](core::SynthesisOptions& m) { m.sat.max_new_signals += 1; }},
+      {"try_exact", [](core::SynthesisOptions& m) { m.minimize.try_exact ^= true; }},
+      {"exact_max_vars", [](core::SynthesisOptions& m) { m.minimize.exact_max_vars += 1; }},
+      {"exact_max_primes", [](core::SynthesisOptions& m) { m.minimize.exact_max_primes += 1; }},
+      {"exact_max_branch_nodes",
+       [](core::SynthesisOptions& m) { m.minimize.exact_max_branch_nodes += 1; }},
+      {"heuristic_loops", [](core::SynthesisOptions& m) { m.minimize.heuristic_loops += 1; }},
+      {"max_states", [](core::SynthesisOptions& m) { m.build.max_states += 1; }},
+      {"require_safe", [](core::SynthesisOptions& m) { m.build.require_safe ^= true; }},
+      {"max_rounds", [](core::SynthesisOptions& m) { m.max_rounds += 1; }},
+      {"derive_logic", [](core::SynthesisOptions& m) { m.derive_logic ^= true; }},
+  };
+  const svc::RequestOptions base = svc::default_request_options("modular");
+  for (const auto& [field, mutate] : mutations) {
+    svc::RequestOptions changed = base;
+    mutate(changed.modular);
+    EXPECT_NE(svc::request_fingerprint(base), svc::request_fingerprint(changed))
+        << field << " must be part of the modular cache key";
+  }
+}
+
 TEST(SvcFingerprint, EngineSelectorChangesEveryMethodsFingerprint) {
   // A cached DPLL artifact must never satisfy a CDCL request (and vice
   // versa): the engines explore different search paths, so solver-effort
@@ -483,11 +517,27 @@ TEST(SvcRunSynthesis, ProducesAVerifiedArtifact) {
 }
 
 TEST(SvcRunSynthesis, ExpiredDeadlineFailsFast) {
-  auto opts = svc::default_request_options("modular");
-  opts.deadline_s = 1e-9;  // expires before the first round starts
-  const svc::Artifact a = svc::run_synthesis(tiny_spec(), opts);
-  EXPECT_FALSE(a.success);
-  EXPECT_NE(a.failure_reason.find("deadline"), std::string::npos) << a.failure_reason;
+  for (const char* method : {"modular", "direct", "lavagno"}) {
+    auto opts = svc::default_request_options(method);
+    opts.deadline_s = 1e-9;  // expires before the first round starts
+    const svc::Artifact a = svc::run_synthesis(tiny_spec(), opts);
+    EXPECT_FALSE(a.success) << method;
+    EXPECT_EQ(a.failure_reason, "deadline exceeded") << method;
+  }
+}
+
+TEST(SvcRunSynthesis, EveryMethodContractsDummyTransitions) {
+  // A handshake with one dummy between a+ and b+: every method must
+  // contract the silent edge before encoding, as the modular flow does.
+  const stg::Stg spec = stg::parse_g(
+      ".model dummyhs\n.inputs r\n.outputs a b\n.dummy eps\n.graph\n"
+      "r+ a+\na+ eps\neps b+\nb+ r-\nr- a-\na- b-\nb- r+\n"
+      ".marking { <b-,r+> }\n.end\n");
+  for (const char* method : {"modular", "direct", "lavagno"}) {
+    const svc::Artifact a = svc::run_synthesis(spec, svc::default_request_options(method));
+    EXPECT_TRUE(a.success) << method << ": " << a.failure_reason;
+    EXPECT_TRUE(a.verify_ok) << method;
+  }
 }
 
 // -------------------------------------------------------------- Service --
