@@ -265,8 +265,8 @@ int main(int argc, char** argv) {
     // tested by tests/check_protocol.cmake).
     svc::RequestOptions ropts = svc::default_request_options(method);
     svc::set_engine(&ropts, *engine);
-    sg::StateGraph final_graph;
-    const svc::Artifact a = svc::run_synthesis(spec, ropts, &final_graph);
+    verify::Report report;
+    const svc::Artifact a = svc::run_synthesis(spec, ropts, &report);
 
     // Trace/stats cover the synthesis itself; written even when it failed —
     // a failing run is exactly the one worth profiling.
@@ -291,12 +291,16 @@ int main(int argc, char** argv) {
       for (const auto& issue : a.verify_issues) std::printf("  issue: %s\n", issue.c_str());
     }
 
-    // run_synthesis leaves the Verilog empty only when build_netlist threw;
-    // rebuild it so the error is reported instead of an empty file written.
-    if (a.verilog.empty()) netlist::build_netlist(final_graph, a.rebuild_covers());
+    // A successful run lacks a netlist only when build_netlist threw inside
+    // the verifier, whose last issue is then "circuit: <message>".
+    if (!report.circuit.has_value()) {
+      throw util::Error(report.issues.empty()
+                            ? "no netlist"
+                            : report.issues.back().substr(std::strlen("circuit: ")));
+    }
     if (check_circuit) {
-      const netlist::Netlist circuit = netlist::build_netlist(final_graph, a.rebuild_covers());
-      const auto si = netlist::verify_speed_independence(circuit, final_graph);
+      const netlist::Netlist& circuit = *report.circuit;
+      const netlist::SiResult& si = report.si;
       std::printf("circuit: %zu gates, %zu literals, ~%zu transistors; "
                   "speed-independence %s (%zu composed states)\n",
                   circuit.num_gates(), circuit.total_literals(),

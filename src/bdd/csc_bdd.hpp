@@ -20,7 +20,7 @@ namespace mps::bdd {
 // the STG without ever enumerating states.
 
 /// Exact equivalence of a minimized cover against its ON/OFF specification
-/// modulo don't-cares:  ON ⊆ cover ⊆ ¬OFF.
+/// modulo don't-cares:  ON ⊆ cover ⊆ ¬OFF.  A test-side oracle only.
 bool cover_matches_spec(Manager& mgr, const logic::SopSpec& spec, const logic::Cover& cover);
 
 /// BDD-based constraint satisfaction (the core of ref. [19]'s divide and

@@ -1,6 +1,7 @@
 #include "logic/extract.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "util/common.hpp"
@@ -31,9 +32,14 @@ SopSpec extract_next_state(const sg::StateGraph& g, sg::SignalId s) {
   for (const auto& [code, f] : table) {
     (f ? spec.on : spec.off).push_back(code);
   }
-  // Deterministic order (hash maps iterate arbitrarily).
+  // Deterministic order (hash maps iterate arbitrarily): the code with a 0
+  // at the lowest differing bit first, i.e. to_string() order.
   const auto by_bits = [](const util::BitVec& a, const util::BitVec& b) {
-    return a.to_string() < b.to_string();
+    for (std::size_t w = 0; w < a.num_words(); ++w) {
+      const std::uint64_t diff = a.word(w) ^ b.word(w);
+      if (diff != 0) return (b.word(w) >> std::countr_zero(diff) & 1u) != 0;
+    }
+    return false;
   };
   std::sort(spec.on.begin(), spec.on.end(), by_bits);
   std::sort(spec.off.begin(), spec.off.end(), by_bits);

@@ -4,6 +4,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "obs/obs.hpp"
 #include "util/bitvec.hpp"
 #include "util/common.hpp"
 #include "util/text.hpp"
@@ -303,15 +304,15 @@ class Search {
 
 SiResult verify_speed_independence(const Netlist& n, const sg::StateGraph& spec,
                                    const SiOptions& opts) {
+  obs::Span span("netlist.verify_si");
   SiResult result;
   n.check();
   Search search(n, spec, opts, &result);
-  if (!search.bind()) return result;
-  result.bound = true;
-  result.conforms = true;
-  result.hazard_free = true;
-  result.quiescence_ok = true;
-  search.run();
+  if (search.bind()) {
+    result.bound = result.conforms = result.hazard_free = result.quiescence_ok = true;
+    search.run();
+  }
+  span.arg("composed_states", static_cast<std::int64_t>(result.states_explored));
   return result;
 }
 

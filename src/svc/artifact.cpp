@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "netlist/build.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/verilog.hpp"
 #include "obs/obs.hpp"
@@ -11,7 +10,6 @@
 #include "svc/digest.hpp"
 #include "util/common.hpp"
 #include "util/text.hpp"
-#include "verify/verify.hpp"
 
 namespace mps::svc {
 
@@ -75,25 +73,11 @@ std::optional<std::vector<std::string>> parse_string_array(const Json* v) {
   return out;
 }
 
-/// The netlist columns; {0,0,""} when the netlist cannot be built (mirrors
-/// bench/table1's gate_counts helper).
-void fill_netlist(const sg::StateGraph& g,
-                  const std::vector<std::pair<std::string, logic::Cover>>& covers,
-                  Artifact* a) {
-  try {
-    const netlist::Netlist n = netlist::build_netlist(g, covers);
-    a->gates = n.num_gates();
-    a->transistors = n.transistor_estimate();
-    a->verilog = netlist::write_verilog(n);
-  } catch (const util::Error&) {
-    a->gates = a->transistors = 0;
-    a->verilog.clear();
-  }
-}
-
+/// Artifact fields from the final graph and the verifier's report; the
+/// Verilog is the netlist the SI check ran on ({0,0,""} when none).
 void fill_common(const sg::StateGraph& final_graph,
                  const std::vector<std::pair<std::string, logic::Cover>>& covers,
-                 Artifact* a) {
+                 Artifact* a, verify::Report* report) {
   for (sg::SignalId s = 0; s < final_graph.num_signals(); ++s) {
     a->signal_names.push_back(final_graph.signal(s).name);
     if (s >= a->initial_signals) a->inserted_signals.push_back(final_graph.signal(s).name);
@@ -104,17 +88,21 @@ void fill_common(const sg::StateGraph& final_graph,
     for (const logic::Cube& c : cover.cubes()) cubes.push_back(c.to_string());
     a->covers.emplace_back(output, std::move(cubes));
   }
-  const auto report = verify::verify_synthesis(final_graph, covers);
-  a->verify_ok = report.ok();
-  a->verify_issues = report.issues;
-  fill_netlist(final_graph, covers, a);
+  *report = verify::verify_synthesis(final_graph, covers);
+  a->verify_ok = report->ok();
+  a->verify_issues = report->issues;
+  if (report->circuit.has_value()) {
+    a->gates = report->circuit->num_gates();
+    a->transistors = report->circuit->transistor_estimate();
+    a->verilog = netlist::write_verilog(*report->circuit);
+  }
 }
 
 /// Copy one method's result into the artifact; the three result structs
-/// share these fields (only the baselines report hit_limit).  The final
-/// graph moves out only when the caller asked for it.
+/// share these fields (only the baselines report hit_limit).  A successful
+/// result is verified into `report`.
 template <typename Result>
-void take_result(Result r, Artifact* a, sg::StateGraph* final_graph) {
+void take_result(const Result& r, Artifact* a, verify::Report* report) {
   a->success = r.success;
   if constexpr (requires { r.hit_limit; }) a->hit_limit = r.hit_limit;
   a->failure_reason = r.failure_reason;
@@ -125,8 +113,7 @@ void take_result(Result r, Artifact* a, sg::StateGraph* final_graph) {
   a->literals = r.total_literals;
   a->solver = r.solver_totals;
   a->seconds = r.seconds;
-  if (r.success) fill_common(r.final_graph, r.covers, a);
-  if (final_graph != nullptr) *final_graph = std::move(r.final_graph);
+  if (r.success) fill_common(r.final_graph, r.covers, a, report);
 }
 
 }  // namespace
@@ -184,8 +171,10 @@ std::string request_digest(const stg::Stg& spec, const RequestOptions& opts) {
 }
 
 Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts,
-                       sg::StateGraph* final_graph) {
+                       verify::Report* report) {
   obs::Span span("svc.synth", spec.name());
+  verify::Report local;
+  if (report == nullptr) report = &local;
   Artifact a;
   a.name = spec.name();
   a.method = opts.method;
@@ -196,15 +185,15 @@ Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts,
   if (opts.method == "modular") {
     core::SynthesisOptions mopts = opts.modular;
     mopts.deadline = deadline;
-    take_result(core::modular_synthesis(g, mopts), &a, final_graph);
+    take_result(core::modular_synthesis(g, mopts), &a, report);
   } else if (opts.method == "direct") {
     baseline::DirectOptions vopts = opts.direct;
     vopts.solve.deadline = deadline;
-    take_result(baseline::direct_synthesis(g, vopts), &a, final_graph);
+    take_result(baseline::direct_synthesis(g, vopts), &a, report);
   } else if (opts.method == "lavagno") {
     baseline::LavagnoOptions lopts = opts.lavagno;
     lopts.solve.deadline = deadline;
-    take_result(baseline::lavagno_synthesis(g, lopts), &a, final_graph);
+    take_result(baseline::lavagno_synthesis(g, lopts), &a, report);
   } else {
     throw util::Error("unknown synthesis method: " + opts.method);
   }

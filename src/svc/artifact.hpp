@@ -24,9 +24,9 @@
 #include "core/synthesis.hpp"
 #include "logic/cover.hpp"
 #include "sat/solver.hpp"
-#include "sg/state_graph.hpp"
 #include "stg/stg.hpp"
 #include "svc/json.hpp"
+#include "verify/verify.hpp"
 
 namespace mps::svc {
 
@@ -110,17 +110,16 @@ struct Artifact {
   std::vector<std::pair<std::string, logic::Cover>> rebuild_covers() const;
 };
 
-/// Execute one request end to end: state graph, the chosen method, logic
-/// verification, netlist + Verilog.  Never throws for synthesis-level
-/// failures (success=false + failure_reason instead); propagates only
-/// programming errors and spec errors from building the state graph.  This
-/// is the single execution path shared by the daemon, mps_synth,
-/// bench/table1 --cache-dir, and the identity tests.
+/// Execute one request end to end: state graph, the chosen method, one
+/// verify_synthesis run (netlist + SI check), Verilog of its netlist.
+/// Never throws for synthesis-level failures (success=false +
+/// failure_reason instead); propagates only programming errors and spec
+/// errors from building the state graph.  The single execution path shared
+/// by the daemon, mps_synth, bench/table1 --cache-dir and the identity tests.
 ///
-/// When `final_graph` is non-null the method's final (expanded) state graph
-/// is moved into it: mps_synth --check-circuit needs it for the
-/// speed-independence verifier.  Callers that pass nothing copy no graph.
+/// When `report` is non-null and the synthesis succeeded, the verifier's
+/// report lands in it: mps_synth --check-circuit prints from it.
 Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts,
-                       sg::StateGraph* final_graph = nullptr);
+                       verify::Report* report = nullptr);
 
 }  // namespace mps::svc

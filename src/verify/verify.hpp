@@ -1,15 +1,17 @@
 // End-to-end verification of synthesis results: structural consistency,
-// CSC, semi-modularity, and exact (BDD-checked) correspondence between the
-// minimized covers and the state graph's next-state functions.  Used by
-// integration tests and by the examples to demonstrate that results are
-// checked, not assumed.
+// CSC, semi-modularity, the covers against the state graph's next-state
+// functions, and the speed-independence of the netlist built from them.
+// Used by svc::run_synthesis, the integration tests and the examples to
+// demonstrate that results are checked, not assumed.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "logic/cover.hpp"
+#include "netlist/verify_si.hpp"
 #include "sg/state_graph.hpp"
 
 namespace mps::verify {
@@ -18,25 +20,26 @@ struct Report {
   bool codes_consistent = false;  ///< consistent state assignment along edges
   bool csc_satisfied = false;     ///< no CSC conflicts
   bool semi_modular = false;      ///< no non-input transition ever disabled
-  bool covers_valid = false;      ///< covers hit all ON / avoid all OFF minterms
-  bool covers_exact = false;      ///< BDD check: ON ⊆ cover ⊆ ¬OFF
-  /// Gate level: the complex-gate netlist built from the covers conforms
-  /// to the graph and is hazard-free under unbounded gate delays
-  /// (netlist::verify_speed_independence).  True when the cover checks are
-  /// skipped (empty `covers`).
+  bool covers_valid = false;      ///< ON ⊆ cover ⊆ ¬OFF for every output
+  /// Gate level: `si.ok()`, the speed-independence of the complex-gate
+  /// netlist built from the covers; true when the checks are skipped.
   bool circuit_ok = false;
   std::vector<std::string> issues;
+  /// The netlist the gate-level check ran on, and its verdict; nullopt when
+  /// the check was skipped or build_netlist threw (then the last issue).
+  std::optional<netlist::Netlist> circuit;
+  netlist::SiResult si;
 
   bool ok() const {
-    return codes_consistent && csc_satisfied && semi_modular && covers_valid &&
-           covers_exact && circuit_ok;
+    return codes_consistent && csc_satisfied && semi_modular && covers_valid && circuit_ok;
   }
 };
 
 /// Verify a (final, expanded) state graph and the covers synthesized from
 /// it.  `covers` must contain one entry per non-input signal, named to
 /// match the graph's signal names (order free); pass an empty vector to
-/// skip the cover checks (they then report true).
+/// skip the cover and gate-level checks (they then report true) on a graph
+/// with outputs.  Emits one "verify.synthesis" span.
 Report verify_synthesis(const sg::StateGraph& g,
                         const std::vector<std::pair<std::string, logic::Cover>>& covers);
 

@@ -77,7 +77,6 @@ TEST(Direct, ResultVerifiesEndToEnd) {
   EXPECT_TRUE(report.codes_consistent);
   EXPECT_TRUE(report.csc_satisfied);
   EXPECT_TRUE(report.covers_valid);
-  EXPECT_TRUE(report.covers_exact);
 }
 
 TEST(Lavagno, SolvesToggle) {
@@ -114,7 +113,6 @@ TEST(Lavagno, ResultVerifiesEndToEnd) {
   EXPECT_TRUE(report.codes_consistent);
   EXPECT_TRUE(report.csc_satisfied);
   EXPECT_TRUE(report.covers_valid);
-  EXPECT_TRUE(report.covers_exact);
 }
 
 TEST(Comparison, AllThreeMethodsAgreeOnCscSatisfaction) {

@@ -1,9 +1,11 @@
 // Cross-check suites: independent implementations must agree —
 // SAT vs BDD on satisfiability, espresso-style vs exact minimization vs
-// BDD equivalence, state-graph CSC analysis vs its BDD formulation, and
+// BDD equivalence (the BDD oracle for verify_synthesis's cover check),
+// state-graph CSC analysis vs its BDD formulation, and
 // the three synthesis methods on end-state invariants.
 #include <gtest/gtest.h>
 
+#include "baseline/lavagno.hpp"
 #include "baseline/vanbekbergen.hpp"
 #include "bdd/csc_bdd.hpp"
 #include "bdd/symbolic.hpp"
@@ -69,6 +71,20 @@ TEST(CscAnalysisVsBdd, AgreeOnSpecsAndSynthesisFixesThem) {
   }
 }
 
+/// The BDD oracle on one synthesis result: every cover is exactly its
+/// output's next-state function, ON ⊆ cover ⊆ ¬OFF.  verify_synthesis
+/// checks the same property explicitly; this keeps an independent
+/// implementation on it.
+void expect_covers_match_bdd(const sg::StateGraph& g,
+                             const std::vector<std::pair<std::string, logic::Cover>>& covers,
+                             const std::string& context) {
+  bdd::Manager mgr(g.num_signals());
+  for (const auto& [name, cover] : covers) {
+    const auto spec = logic::extract_next_state(g, g.find_signal(name));
+    EXPECT_TRUE(bdd::cover_matches_spec(mgr, spec, cover)) << context << ": " << name;
+  }
+}
+
 TEST(MinimizerVsBdd, EveryCoverEquivalentToItsSpec) {
   util::Rng rng(20260706);
   for (int trial = 0; trial < 10; ++trial) {
@@ -77,13 +93,20 @@ TEST(MinimizerVsBdd, EveryCoverEquivalentToItsSpec) {
     const auto g = sg::StateGraph::from_stg(benchmarks::random_stg(rng, opts));
     const auto r = core::modular_synthesis(g);
     if (!r.success) continue;
-    bdd::Manager mgr(r.final_graph.num_signals());
-    for (const auto& [name, cover] : r.covers) {
-      const auto sig = r.final_graph.find_signal(name);
-      const auto spec = logic::extract_next_state(r.final_graph, sig);
-      EXPECT_TRUE(bdd::cover_matches_spec(mgr, spec, cover)) << name << " trial " << trial;
-    }
+    expect_covers_match_bdd(r.final_graph, r.covers, "trial " + std::to_string(trial));
   }
+  for (const benchmarks::Benchmark& b : benchmarks::table1_benchmarks()) {
+    const auto r = core::modular_synthesis(b.make());
+    ASSERT_TRUE(r.success) << b.name << ": " << r.failure_reason;
+    expect_covers_match_bdd(r.final_graph, r.covers, b.name + " modular");
+  }
+  const auto direct = baseline::direct_synthesis(benchmarks::find_benchmark("atod")->make());
+  ASSERT_TRUE(direct.success) << direct.failure_reason;
+  expect_covers_match_bdd(direct.final_graph, direct.covers, "atod direct");
+  const auto lavagno =
+      baseline::lavagno_synthesis(benchmarks::find_benchmark("wrdata")->make());
+  ASSERT_TRUE(lavagno.success) << lavagno.failure_reason;
+  expect_covers_match_bdd(lavagno.final_graph, lavagno.covers, "wrdata lavagno");
 }
 
 TEST(ModularVsDirect, FinalGraphsImplementTheSameFunctionsWhenSignalsMatch) {

@@ -11,7 +11,9 @@
 #include "sat/solver.hpp"
 #include "sg/state_graph.hpp"
 #include "stg/builder.hpp"
+#include "svc/artifact.hpp"
 #include "util/thread_pool.hpp"
+#include "verify/verify.hpp"
 
 namespace {
 
@@ -125,6 +127,29 @@ TEST_F(Obs, SynthesisEmitsModuleAndExpandSpans) {
   EXPECT_EQ(obs::counter_value("sat.decisions"), r.solver_totals.decisions);
   EXPECT_EQ(obs::counter_value("sat.propagations"), r.solver_totals.propagations);
   EXPECT_EQ(obs::counter_value("sat.conflicts"), r.solver_totals.conflicts);
+}
+
+TEST_F(Obs, OneRequestVerifiesOnce) {
+  // One run_synthesis call runs the verifier once, and with it one
+  // speed-independence check; the report it hands back is what
+  // mps_synth --check-circuit prints, so that flag reruns nothing.
+  obs::set_enabled(true);
+  verify::Report report;
+  const svc::Artifact a = svc::run_synthesis(benchmarks::find_benchmark("mr0")->make(),
+                                             svc::default_request_options("modular"), &report);
+  ASSERT_TRUE(a.success) << a.failure_reason;
+  ASSERT_TRUE(report.circuit.has_value());
+  const std::string trace = obs::chrome_trace_json();
+  const auto spans = [&](const std::string& name) {
+    const std::string key = "\"name\":\"" + name + "\"";
+    std::size_t n = 0;
+    for (auto at = trace.find(key); at != std::string::npos; at = trace.find(key, at + 1)) ++n;
+    return n;
+  };
+  EXPECT_EQ(spans("verify.synthesis"), 1u);
+  EXPECT_EQ(spans("netlist.verify_si"), 1u);
+  EXPECT_NE(trace.find("\"composed_states\":" + std::to_string(report.si.states_explored)),
+            std::string::npos);
 }
 
 TEST_F(Obs, PoolTasksGetSpansAndWorkerLanes) {

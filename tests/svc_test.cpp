@@ -516,6 +516,33 @@ TEST(SvcRunSynthesis, ProducesAVerifiedArtifact) {
   EXPECT_EQ(back->serialize(), a.serialize());
 }
 
+TEST(SvcRunSynthesis, ReportIsTheVerdictAndNetlistTheArtifactCarries) {
+  verify::Report report;
+  const svc::Artifact a =
+      svc::run_synthesis(tiny_spec(), svc::default_request_options("modular"), &report);
+  ASSERT_TRUE(a.success) << a.failure_reason;
+  ASSERT_TRUE(report.circuit.has_value());
+  EXPECT_EQ(a.verilog, netlist::write_verilog(*report.circuit));
+  EXPECT_EQ(a.gates, report.circuit->num_gates());
+  EXPECT_EQ(a.transistors, report.circuit->transistor_estimate());
+  EXPECT_EQ(a.verify_ok, report.ok());
+  EXPECT_EQ(a.verify_issues, report.issues);
+  EXPECT_TRUE(report.si.ok());
+}
+
+TEST(SvcRunSynthesis, InputOnlySpecStillGetsItsGatelessNetlist) {
+  // No outputs means no covers, which is the complete set: the verifier
+  // must still build and check the (gateless) circuit the artifact ships.
+  const stg::Stg spec = stg::parse_g(
+      ".model inonly\n.inputs a b\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n"
+      ".marking { <b-,a+> }\n.end\n");
+  const svc::Artifact a = svc::run_synthesis(spec, svc::default_request_options("modular"));
+  ASSERT_TRUE(a.success) << a.failure_reason;
+  EXPECT_TRUE(a.verify_ok);
+  EXPECT_EQ(a.gates, 0u);
+  EXPECT_NE(a.verilog.find("module circuit (a, b);"), std::string::npos) << a.verilog;
+}
+
 TEST(SvcRunSynthesis, ExpiredDeadlineFailsFast) {
   for (const char* method : {"modular", "direct", "lavagno"}) {
     auto opts = svc::default_request_options(method);

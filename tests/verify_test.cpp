@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <unordered_set>
+
+#include "benchmarks/benchmarks.hpp"
 #include "core/synthesis.hpp"
 #include "logic/extract.hpp"
 #include "logic/minimize.hpp"
@@ -20,6 +25,10 @@ stg::Stg toggle_stg() {
       .arc("y-", "x+")
       .token("y-", "x+")
       .build();
+}
+
+bool has_issue(const verify::Report& report, const std::string& issue) {
+  return std::find(report.issues.begin(), report.issues.end(), issue) != report.issues.end();
 }
 
 stg::Stg handshake_stg() {
@@ -52,6 +61,10 @@ TEST(Verify, FullSynthesisResultPasses) {
   ASSERT_TRUE(r.success);
   const auto report = verify::verify_synthesis(r.final_graph, r.covers);
   EXPECT_TRUE(report.ok()) << (report.issues.empty() ? "" : report.issues.front());
+  // The report keeps the netlist its gate-level check ran on.
+  ASSERT_TRUE(report.circuit.has_value());
+  EXPECT_EQ(report.circuit->num_gates(), r.covers.size());
+  EXPECT_TRUE(report.si.ok());
 }
 
 TEST(Verify, MissingCoverFlagged) {
@@ -71,7 +84,59 @@ TEST(Verify, WrongCoverFlagged) {
   covers[0].second = logic::Cover(r.final_graph.num_signals());
   covers[0].second.add(logic::Cube(r.final_graph.num_signals()));
   const auto report = verify::verify_synthesis(r.final_graph, covers);
-  EXPECT_FALSE(report.covers_valid && report.covers_exact);
+  EXPECT_FALSE(report.covers_valid);
+  EXPECT_TRUE(has_issue(report, "cover of " + covers[0].first + " violates its ON/OFF spec"));
+}
+
+TEST(Verify, CoverWrongOnOneReachableCodeFlagged) {
+  // Drop a cube that alone covers exactly one reachable code: the cover
+  // then misses a single ON minterm, and the per-state check must see it.
+  const auto r = core::modular_synthesis(benchmarks::find_benchmark("pa")->make());
+  ASSERT_TRUE(r.success);
+  const sg::StateGraph& g = r.final_graph;
+  for (std::size_t i = 0; i < r.covers.size(); ++i) {
+    const logic::Cover& cover = r.covers[i].second;
+    for (std::size_t drop = 0; drop < cover.size(); ++drop) {
+      logic::Cover dropped(cover.num_vars());
+      for (std::size_t c = 0; c < cover.size(); ++c) {
+        if (c != drop) dropped.add(cover.cubes()[c]);
+      }
+      std::unordered_set<util::BitVec, util::BitVecHash> missed;
+      for (sg::StateId st = 0; st < g.num_states(); ++st) {
+        if (cover.covers_code(g.code(st)) != dropped.covers_code(g.code(st))) {
+          missed.insert(g.code(st));
+        }
+      }
+      if (missed.size() != 1) continue;
+      auto covers = r.covers;
+      covers[i].second = dropped;
+      const auto report = verify::verify_synthesis(g, covers);
+      EXPECT_FALSE(report.covers_valid);
+      EXPECT_FALSE(report.ok());
+      EXPECT_TRUE(has_issue(report, "cover of " + covers[i].first + " violates its ON/OFF spec"));
+      return;
+    }
+  }
+  FAIL() << "no pa cube alone covers exactly one reachable code";
+}
+
+TEST(Verify, WrongArityCoverIsReportedNotAborted) {
+  const auto r = core::modular_synthesis(benchmarks::find_benchmark("atod")->make());
+  ASSERT_TRUE(r.success);
+  const std::size_t n = r.final_graph.num_signals();
+  auto covers = r.covers;
+  covers[0].second = logic::Cover(n - 1);
+  covers[0].second.add(logic::Cube(n - 1));
+  const auto report = verify::verify_synthesis(r.final_graph, covers);
+  EXPECT_FALSE(report.covers_valid);
+  EXPECT_FALSE(report.circuit_ok);
+  EXPECT_FALSE(report.circuit.has_value());
+  EXPECT_TRUE(has_issue(report, "cover of " + covers[0].first + " has " +
+                                    std::to_string(n - 1) + " variables, the graph " +
+                                    std::to_string(n) + " signals"));
+  // build_netlist rejects the arity too; its message is the last issue.
+  ASSERT_FALSE(report.issues.empty());
+  EXPECT_EQ(report.issues.back().rfind("circuit: ", 0), 0u) << report.issues.back();
 }
 
 TEST(ExpansionSimulates, HoldsForRealExpansion) {
