@@ -39,20 +39,23 @@ using namespace mps;
 std::string num(std::size_t v) { return std::to_string(v); }
 std::string secs(double s) { return util::format("%.2f", s); }
 
+/// One method's printed columns; a failed run shows "-" and its outcome.
+struct Cols {
+  std::string states = "-", sigs = "-", area = "-", cpu;
+};
+
 struct Row {
   std::string name;
   std::string init_states, init_sigs;
-  std::string m_states, m_sigs, m_area, m_cpu;
-  std::string v_states, v_sigs, v_area, v_cpu;
-  std::string l_sigs, l_area, l_cpu;
+  Cols m, v, l;  // modular, direct (Vanbekbergen), Lavagno-style (no states column)
 };
 
 void print_row(const Row& r) {
   std::printf("%-15s|%6s %5s |%7s %5s %5s %8s |%7s %5s %5s %8s |%5s %5s %8s\n",
               r.name.c_str(), r.init_states.c_str(), r.init_sigs.c_str(),
-              r.m_states.c_str(), r.m_sigs.c_str(), r.m_area.c_str(), r.m_cpu.c_str(),
-              r.v_states.c_str(), r.v_sigs.c_str(), r.v_area.c_str(), r.v_cpu.c_str(),
-              r.l_sigs.c_str(), r.l_area.c_str(), r.l_cpu.c_str());
+              r.m.states.c_str(), r.m.sigs.c_str(), r.m.area.c_str(), r.m.cpu.c_str(),
+              r.v.states.c_str(), r.v.sigs.c_str(), r.v.area.c_str(), r.v.cpu.c_str(),
+              r.l.sigs.c_str(), r.l.area.c_str(), r.l.cpu.c_str());
 }
 
 /// One (benchmark, method) record of the machine-readable report.
@@ -63,18 +66,35 @@ struct JsonRow {
   const char* outcome = "ok";  // "ok" | "LIMIT" | "FAIL"
   sat::SolverTotals solver;    // search effort behind this row (schema v3/v4)
   double seconds = 0.0;
+
+  bool ok() const { return std::strcmp(outcome, "ok") == 0; }
 };
 
-/// Everything one benchmark contributes: its two printed rows plus the raw
-/// numbers the summary needs.  Filled concurrently, consumed in order.
+/// Everything one benchmark contributes: its two printed rows plus one
+/// record per method (modular, direct, lavagno) for the report and the
+/// summary.  Filled concurrently, consumed in order.
 struct BenchResult {
   Row ours;
   Row paper;
-  bool m_ok = false, v_ok = false, l_ok = false;
-  std::size_t m_area = 0, v_area = 0, l_area = 0;
-  double m_secs = 0.0, v_secs = 0.0, l_secs = 0.0;
   JsonRow json[3];
 };
+
+/// ok, LIMIT (a budget tripped) or FAIL — the same rule for every method.
+const char* outcome(const svc::Artifact& a) {
+  if (a.success) return "ok";
+  return a.hit_limit ? "LIMIT" : "FAIL";
+}
+
+/// Fill one method's printed columns and report record from its artifact.
+void take(const char* method, const svc::Artifact& a, Cols* cols, JsonRow* json) {
+  if (a.success) {
+    *cols = {num(a.final_states), num(a.final_signals), num(a.literals), secs(a.seconds)};
+  } else {
+    *cols = {.cpu = outcome(a)};
+  }
+  *json = {method,        a.final_states, a.final_signals, a.literals, a.gates,
+           a.transistors, outcome(a),     a.solver,        a.seconds};
+}
 
 /// The table's per-method limits on top of the svc defaults.  The direct
 /// and lavagno sub-solve caps are tighter than mps_synth's (a survey over
@@ -114,86 +134,32 @@ BenchResult run_benchmark(const benchmarks::Benchmark& b, sat::Engine engine,
                           svc::Cache* cache) {
   BenchResult out;
   const stg::Stg spec = b.make();
-
-  const svc::Artifact m = run_method(spec, "modular", engine, cache);
-  const svc::Artifact v = run_method(spec, "direct", engine, cache);
-  const svc::Artifact l = run_method(spec, "lavagno", engine, cache);
-
-  Row& ours = out.ours;
-  ours.name = b.name;
-  ours.init_states = num(m.initial_states);
-  ours.init_sigs = num(m.initial_signals);
-  if (m.success) {
-    ours.m_states = num(m.final_states);
-    ours.m_sigs = num(m.final_signals);
-    ours.m_area = num(m.literals);
-    ours.m_cpu = secs(m.seconds);
-  } else {
-    ours.m_states = ours.m_sigs = ours.m_area = "-";
-    ours.m_cpu = "FAIL";
+  const char* methods[] = {"modular", "direct", "lavagno"};
+  Cols* cols[] = {&out.ours.m, &out.ours.v, &out.ours.l};
+  for (int i = 0; i < 3; ++i) {
+    const svc::Artifact a = run_method(spec, methods[i], engine, cache);
+    take(methods[i], a, cols[i], &out.json[i]);
+    if (i == 0) {
+      out.ours.init_states = num(a.initial_states);
+      out.ours.init_sigs = num(a.initial_signals);
+    }
   }
-  if (v.success) {
-    ours.v_states = num(v.final_states);
-    ours.v_sigs = num(v.final_signals);
-    ours.v_area = num(v.literals);
-    ours.v_cpu = secs(v.seconds);
-  } else {
-    ours.v_states = ours.v_sigs = ours.v_area = "-";
-    ours.v_cpu = v.hit_limit ? "LIMIT" : "FAIL";
-  }
-  if (l.success) {
-    ours.l_sigs = num(l.final_signals);
-    ours.l_area = num(l.literals);
-    ours.l_cpu = secs(l.seconds);
-  } else {
-    ours.l_sigs = ours.l_area = "-";
-    ours.l_cpu = l.hit_limit ? "LIMIT" : "FAIL";
-  }
+  out.ours.name = b.name;
 
   Row& paper = out.paper;
   paper.name = "  (paper)";
   paper.init_states = num(b.paper.initial_states);
   paper.init_sigs = num(b.paper.initial_signals);
-  paper.m_states = num(b.paper.m_final_states);
-  paper.m_sigs = num(b.paper.m_final_signals);
-  paper.m_area = num(b.paper.m_area);
-  paper.m_cpu = secs(b.paper.m_cpu_s);
-  if (b.paper.v_limit) {
-    paper.v_states = paper.v_sigs = paper.v_area = "-";
-    paper.v_cpu = "LIMIT";
-  } else {
-    paper.v_states = num(b.paper.v_final_states);
-    paper.v_sigs = num(b.paper.v_final_signals);
-    paper.v_area = num(b.paper.v_area);
-    paper.v_cpu = secs(b.paper.v_cpu_s);
-  }
-  if (b.paper.l_note != nullptr) {
-    paper.l_sigs = paper.l_area = "-";
-    paper.l_cpu = "ERROR";
-  } else {
-    paper.l_sigs = num(b.paper.l_final_signals);
-    paper.l_area = num(b.paper.l_area);
-    paper.l_cpu = secs(b.paper.l_cpu_s);
-  }
-
-  out.m_ok = m.success;
-  out.v_ok = v.success;
-  out.l_ok = l.success;
-  out.m_area = m.literals;
-  out.v_area = v.literals;
-  out.l_area = l.literals;
-  out.m_secs = m.seconds;
-  out.v_secs = v.seconds;
-  out.l_secs = l.seconds;
-
-  out.json[0] = {"modular", m.final_states, m.final_signals, m.literals,
-                 m.gates, m.transistors, m.success ? "ok" : "FAIL", m.solver, m.seconds};
-  out.json[1] = {"direct", v.final_states, v.final_signals, v.literals,
-                 v.gates, v.transistors,
-                 v.success ? "ok" : (v.hit_limit ? "LIMIT" : "FAIL"), v.solver, v.seconds};
-  out.json[2] = {"lavagno", l.final_states, l.final_signals, l.literals,
-                 l.gates, l.transistors,
-                 l.success ? "ok" : (l.hit_limit ? "LIMIT" : "FAIL"), l.solver, l.seconds};
+  paper.m = {num(b.paper.m_final_states), num(b.paper.m_final_signals), num(b.paper.m_area),
+             secs(b.paper.m_cpu_s)};
+  paper.v = b.paper.v_limit ? Cols{.cpu = "LIMIT"}
+                            : Cols{num(b.paper.v_final_states), num(b.paper.v_final_signals),
+                                   num(b.paper.v_area), secs(b.paper.v_cpu_s)};
+  paper.l = b.paper.l_note != nullptr
+                ? Cols{.cpu = "ERROR"}
+                : Cols{.sigs = num(b.paper.l_final_signals),
+                       .area = num(b.paper.l_area),
+                       .cpu = secs(b.paper.l_cpu_s)};
   return out;
 }
 
@@ -246,7 +212,7 @@ void write_json(const char* path, const std::vector<benchmarks::Benchmark>& benc
   int ok = 0, limit = 0, fail = 0;
   for (const BenchResult& r : results) {
     for (const JsonRow& row : r.json) {
-      if (std::strcmp(row.outcome, "ok") == 0) ++ok;
+      if (row.ok()) ++ok;
       else if (std::strcmp(row.outcome, "LIMIT") == 0) ++limit;
       else ++fail;
     }
@@ -335,20 +301,23 @@ int main(int argc, char** argv) {
   for (const BenchResult& r : results) {
     print_row(r.ours);
     print_row(r.paper);
-    cpu_total += r.m_secs + r.v_secs + r.l_secs;
-    if (r.m_ok && r.v_ok && r.v_area > 0) {
-      sum_ratio_v += static_cast<double>(r.m_area) / r.v_area;
+    const JsonRow& m = r.json[0];
+    const JsonRow& v = r.json[1];
+    const JsonRow& l = r.json[2];
+    cpu_total += m.seconds + v.seconds + l.seconds;
+    if (m.ok() && v.ok() && v.literals > 0) {
+      sum_ratio_v += static_cast<double>(m.literals) / v.literals;
       ++count_v;
-      if (r.m_secs > 0) {
-        speedup_v += r.v_secs / r.m_secs;
+      if (m.seconds > 0) {
+        speedup_v += v.seconds / m.seconds;
         ++speedup_v_n;
       }
     }
-    if (r.m_ok && r.l_ok && r.l_area > 0) {
-      sum_ratio_l += static_cast<double>(r.m_area) / r.l_area;
+    if (m.ok() && l.ok() && l.literals > 0) {
+      sum_ratio_l += static_cast<double>(m.literals) / l.literals;
       ++count_l;
-      if (r.m_secs > 0) {
-        speedup_l += r.l_secs / r.m_secs;
+      if (m.seconds > 0) {
+        speedup_l += l.seconds / m.seconds;
         ++speedup_l_n;
       }
     }

@@ -28,24 +28,10 @@ struct LavagnoOptions {
   bool derive_logic = true;
 };
 
-struct LavagnoResult {
-  bool success = false;
-  bool hit_limit = false;
-  std::string failure_reason;
-
-  std::size_t initial_states = 0;
-  std::size_t initial_signals = 0;
-  std::size_t final_states = 0;
-  std::size_t final_signals = 0;
-  std::size_t total_literals = 0;
+/// `solver_totals` sums the DPLL effort of every insertion's formula
+/// attempts (walksat successes contribute nothing: no DPLL search ran).
+struct LavagnoResult : core::FlowResult {
   int insertions = 0;
-
-  sg::StateGraph final_graph;
-  std::vector<std::pair<std::string, logic::Cover>> covers;
-  double seconds = 0.0;
-  /// DPLL effort summed over every insertion's formula attempts (walksat
-  /// successes contribute nothing — no DPLL search ran for them).
-  sat::SolverTotals solver_totals;
 };
 
 LavagnoResult lavagno_synthesis(const sg::StateGraph& g, const LavagnoOptions& opts = {});

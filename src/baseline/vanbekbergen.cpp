@@ -1,71 +1,37 @@
 #include "baseline/vanbekbergen.hpp"
 
-#include <algorithm>
-
-#include "sg/csc.hpp"
-#include "sg/expand.hpp"
-#include "sg/projection.hpp"
-#include "util/common.hpp"
-
 namespace mps::baseline {
 
 DirectResult direct_synthesis(const sg::StateGraph& input, const DirectOptions& opts) {
-  util::Timer timer;
   DirectResult result;
-
-  sg::StateGraph g = sg::contract_silent(input);
-  result.initial_states = g.num_states();
-  result.initial_signals = g.num_signals();
-
-  for (int round = 1; round <= opts.max_rounds; ++round) {
-    if (sat::deadline_passed(opts.solve.deadline)) {
-      result.hit_limit = true;
-      result.failure_reason = "deadline exceeded";
-      break;
-    }
-    const auto analysis = sg::analyze_csc(g);
-    if (analysis.satisfied()) break;
-    result.rounds = round;
-
+  // Each round encodes every remaining conflict of the complete graph.
+  const core::RoundPolicy round = [&](const sg::StateGraph& g, const sg::CscResult& csc,
+                                      int r) -> std::optional<sg::Assignments> {
+    result.rounds = r;
     sg::Assignments assigns(g.num_states());
-    bool solved = false;
-    std::size_t m = static_cast<std::size_t>(std::max(1, analysis.lower_bound));
-    for (; m <= opts.max_new_signals; ++m) {
-      const encoding::Encoding enc(g, m, analysis.conflicts, analysis.compatible_pairs,
-                                   opts.encode);
-      sat::Model model;
-      result.formulas.push_back(core::solve_formula(enc, opts.solve, &model));
-      const core::FormulaStat& stat = result.formulas.back();
-      result.solver_totals.add(stat);
-      if (stat.outcome == sat::Outcome::Limit) {
-        result.hit_limit = true;
-        result.failure_reason = "SAT backtrack/time limit on the direct formula";
-        break;
-      }
-      if (stat.outcome == sat::Outcome::Sat) {
-        enc.decode(model, &assigns, "csc" + std::to_string(g.num_signals()) + "_");
-        solved = true;
-        break;
-      }
+    const sat::Outcome outcome =
+        core::direct_round(g, csc, opts.encode, opts.solve, opts.max_new_signals,
+                           "csc" + std::to_string(g.num_signals()) + "_", &assigns,
+                           &result.formulas);
+    if (outcome == sat::Outcome::Sat) return assigns;
+    if (outcome == sat::Outcome::Limit) {
+      result.hit_limit = true;
+      result.failure_reason = "SAT backtrack/time limit on the direct formula";
+    } else {
+      result.failure_reason = "no assignment within the state-signal bound";
     }
-    if (!solved) {
-      if (result.failure_reason.empty()) {
-        result.failure_reason = "no assignment within the state-signal bound";
-      }
-      break;
-    }
-    g = sg::expand(g, assigns, /*check_consistency=*/false).graph;
-  }
-
-  result.success = result.failure_reason.empty() && sg::analyze_csc(g).satisfied();
-  result.final_states = g.num_states();
-  result.final_signals = g.num_signals();
-  result.final_graph = std::move(g);
-  if (result.success && opts.derive_logic) {
-    result.total_literals =
-        core::derive_all_logic(result.final_graph, opts.minimize, &result.covers);
-  }
-  result.seconds = timer.seconds();
+    return std::nullopt;
+  };
+  core::run_insertion_flow(input,
+                           {.max_rounds = opts.max_rounds,
+                            .exhausted_reason = "CSC conflicts remain after " +
+                                                std::to_string(opts.max_rounds) + " rounds",
+                            .deadline = opts.solve.deadline,
+                            .check_consistency = false,
+                            .derive_logic = opts.derive_logic,
+                            .minimize = opts.minimize},
+                           round, &result);
+  for (const core::FormulaStat& f : result.formulas) result.solver_totals.add(f);
   return result;
 }
 

@@ -26,25 +26,11 @@ struct DirectOptions {
   bool derive_logic = true;
 };
 
-struct DirectResult {
-  bool success = false;
-  bool hit_limit = false;  ///< the paper's "SAT Backtrack Limit" outcome
-  std::string failure_reason;
-
-  std::size_t initial_states = 0;
-  std::size_t initial_signals = 0;
-  std::size_t final_states = 0;
-  std::size_t final_signals = 0;
-  std::size_t total_literals = 0;
-
-  sg::StateGraph final_graph;
-  std::vector<std::pair<std::string, logic::Cover>> covers;
+struct DirectResult : core::FlowResult {
+  /// Every formula attempt, including the one that hit the limit on the
+  /// "SAT Backtrack Limit" rows.
   std::vector<core::FormulaStat> formulas;
   int rounds = 0;
-  double seconds = 0.0;
-  /// DPLL effort summed over every formula attempt (including the one that
-  /// hit the limit on the "SAT Backtrack Limit" rows).
-  sat::SolverTotals solver_totals;
 };
 
 DirectResult direct_synthesis(const sg::StateGraph& g, const DirectOptions& opts = {});

@@ -2,8 +2,7 @@
 
 #include <numeric>
 
-#include "sg/csc.hpp"
-#include "sg/projection.hpp"
+#include "core/module_graph.hpp"
 #include "util/common.hpp"
 
 namespace mps::core {
@@ -27,35 +26,6 @@ std::vector<sg::SignalId> sg_trigger_signals(const sg::StateGraph& g, sg::Signal
   return out;
 }
 
-namespace {
-
-/// Conflict count and lower bound of the module graph obtained by hiding
-/// `hidden`, focused on output o.  Returns nullopt if the hiding merges
-/// states with inconsistent state-signal values (Fig. 3 violation).
-struct ProbeResult {
-  std::size_t conflicts;
-  int lower_bound;
-};
-
-std::optional<ProbeResult> probe(const sg::StateGraph& g, sg::SignalId o,
-                                 const util::BitVec& hidden, const sg::Assignments& assigns) {
-  const sg::Projection proj = sg::hide_signals(g, hidden, assigns.empty() ? nullptr : &assigns);
-  if (!proj.assignments_consistent) return std::nullopt;
-  // Remap o into the projection's signal space.
-  sg::SignalId focus = stg::kNoSignal;
-  for (std::size_t i = 0; i < proj.kept.size(); ++i) {
-    if (proj.kept[i] == o) focus = static_cast<sg::SignalId>(i);
-  }
-  MPS_ASSERT(focus != stg::kNoSignal);
-  sg::CscOptions copts;
-  copts.focus_signal = focus;
-  const auto analysis =
-      sg::analyze_csc(proj.graph, proj.assignments.empty() ? nullptr : &proj.assignments, copts);
-  return ProbeResult{analysis.conflicts.size(), analysis.lower_bound};
-}
-
-}  // namespace
-
 InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
                                    const sg::Assignments& assigns, const InputSetOptions&) {
   MPS_ASSERT(o < g.num_signals());
@@ -75,10 +45,10 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
   }
 
   // Baseline conflicts/lower-bound on the unhidden graph.
-  const auto base = probe(g, o, hidden, assigns);
-  MPS_ASSERT(base.has_value());
-  std::size_t n_csc = base->conflicts;
-  int lb = base->lower_bound;
+  const ModuleGraph base = project_module(g, o, hidden, assigns);
+  MPS_ASSERT(base.proj.assignments_consistent);
+  std::size_t n_csc = base.conflicts.size();
+  int lb = base.lower_bound;
 
   // Greedy hiding (Figure 2 main loop), iterated to a fixed point: a
   // signal rejected early in the pass can become hideable once later
@@ -87,10 +57,11 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
     std::vector<sg::SignalId> rejected;
     for (const sg::SignalId s : pending) {
       hidden.set(s);
-      const auto probed = probe(g, o, hidden, assigns);
-      if (probed.has_value() && probed->conflicts <= n_csc && probed->lower_bound <= lb) {
-        n_csc = probed->conflicts;
-        lb = probed->lower_bound;
+      const ModuleGraph probed = project_module(g, o, hidden, assigns);
+      if (probed.proj.assignments_consistent && probed.conflicts.size() <= n_csc &&
+          probed.lower_bound <= lb) {
+        n_csc = probed.conflicts.size();
+        lb = probed.lower_bound;
       } else {
         hidden.reset(s);  // signal (still) required
         rejected.push_back(s);
@@ -109,18 +80,18 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
   std::vector<std::size_t> kept_ss(assigns.num_signals());
   std::iota(kept_ss.begin(), kept_ss.end(), 0u);
   {
-    const auto full = probe(g, o, hidden, assigns.subset(kept_ss));
-    MPS_ASSERT(full.has_value());
-    std::size_t current = full->conflicts;
+    const ModuleGraph full = project_module(g, o, hidden, assigns.subset(kept_ss));
+    MPS_ASSERT(full.proj.assignments_consistent);
+    std::size_t current = full.conflicts.size();
     for (std::size_t k = assigns.num_signals(); k-- > 0;) {
       std::vector<std::size_t> without;
       for (const std::size_t x : kept_ss) {
         if (x != k) without.push_back(x);
       }
-      const auto probed = probe(g, o, hidden, assigns.subset(without));
-      if (probed.has_value() && probed->conflicts <= current) {
+      const ModuleGraph probed = project_module(g, o, hidden, assigns.subset(without));
+      if (probed.proj.assignments_consistent && probed.conflicts.size() <= current) {
         kept_ss = std::move(without);
-        current = probed->conflicts;
+        current = probed.conflicts.size();
       }
     }
     n_csc = current;

@@ -28,4 +28,12 @@ struct ModuleGraph {
 ModuleGraph build_module(const sg::StateGraph& g, sg::SignalId o, const InputSetResult& input_set,
                          const sg::Assignments& assigns);
 
+/// The module of `o` that hiding `hidden` yields, carrying all of
+/// `assigns`.  Its conflicts are left empty when the hiding merges states
+/// with inconsistent state-signal values (`proj.assignments_consistent`
+/// false, a Fig. 3 violation).  Shared by build_module and the greedy
+/// hiding of determine_input_set.
+ModuleGraph project_module(const sg::StateGraph& g, sg::SignalId o, const util::BitVec& hidden,
+                           const sg::Assignments& assigns);
+
 }  // namespace mps::core

@@ -6,23 +6,36 @@
 
 namespace mps::core {
 
+namespace {
+
+/// Solve one CSC formula with sat::Solver and record its size, outcome,
+/// wall time and search effort.  On Sat, `*model` receives the assignment.
 FormulaStat solve_formula(const encoding::Encoding& enc, const sat::SolveOptions& opts,
                           sat::Model* model) {
   FormulaStat stat;
   stat.num_new_signals = enc.num_new_signals();
   stat.num_vars = enc.cnf().num_vars();
   stat.num_clauses = enc.cnf().num_clauses();
-  util::Timer timer;
-  sat::SolveStats sstats;
-  stat.outcome = sat::Solver().solve(enc.cnf(), model, &sstats, opts);
-  stat.seconds = timer.seconds();
-  stat.backtracks = sstats.backtracks;
-  stat.conflicts = sstats.conflicts;
-  stat.decisions = sstats.decisions;
-  stat.propagations = sstats.propagations;
-  stat.restarts = sstats.restarts;
-  stat.learned = sstats.learned;
+  stat.outcome = sat::Solver().solve(enc.cnf(), model, &stat, opts);
   return stat;
+}
+
+}  // namespace
+
+sat::Outcome direct_round(const sg::StateGraph& g, const sg::CscResult& csc,
+                          const encoding::EncodeOptions& encode, const sat::SolveOptions& solve,
+                          std::size_t max_new_signals, const std::string& name_prefix,
+                          sg::Assignments* out, std::vector<FormulaStat>* formulas) {
+  for (std::size_t m = static_cast<std::size_t>(std::max(1, csc.lower_bound));
+       m <= max_new_signals; ++m) {
+    const encoding::Encoding enc(g, m, csc.conflicts, csc.compatible_pairs, encode);
+    sat::Model model;
+    formulas->push_back(solve_formula(enc, solve, &model));
+    const sat::Outcome outcome = formulas->back().outcome;
+    if (outcome == sat::Outcome::Sat) enc.decode(model, out, name_prefix);
+    if (outcome != sat::Outcome::Unsat) return outcome;
+  }
+  return sat::Outcome::Unsat;
 }
 
 void decode_varying(const encoding::Encoding& enc, const sat::Model& model,

@@ -9,26 +9,17 @@
 #include "core/module_graph.hpp"
 #include "encoding/csc_sat.hpp"
 #include "sat/solver.hpp"
+#include "sg/csc.hpp"
 
 namespace mps::core {
 
-/// Size and solve statistics of one SAT attempt (reported in Table 1 /
-/// the clause-count bench).
-struct FormulaStat {
+/// Size, outcome and search effort of one SAT attempt (reported in
+/// Table 1 / the clause-count bench).
+struct FormulaStat : sat::SolveStats {
   std::size_t num_new_signals = 0;
   std::size_t num_vars = 0;
   std::size_t num_clauses = 0;
   sat::Outcome outcome = sat::Outcome::Unsat;
-  double seconds = 0.0;
-  /// Search effort.  `backtracks` counts chronological backtracks (DPLL)
-  /// or backjumps (CDCL); `conflicts` is the engine-independent effort
-  /// measure the solver totals aggregate.
-  std::int64_t backtracks = 0;
-  std::int64_t conflicts = 0;
-  std::int64_t decisions = 0;
-  std::int64_t propagations = 0;
-  std::int64_t restarts = 0;
-  std::int64_t learned = 0;
 };
 
 struct PartitionSatOptions {
@@ -40,10 +31,16 @@ struct PartitionSatOptions {
   std::size_t max_new_signals = 10;
 };
 
-/// Solve one CSC formula with sat::Solver and record its size, outcome,
-/// wall time and search effort.  On Sat, `*model` receives the assignment.
-FormulaStat solve_formula(const encoding::Encoding& enc, const sat::SolveOptions& opts,
-                          sat::Model* model);
+/// One direct round on a complete graph (Vanbekbergen et al. [22]; also
+/// the modular flow's rescue): encode the conflicts `csc` of `g` for
+/// m = max(1, lower bound) new signals, adding a signal on Unsat up to
+/// `max_new_signals`.  Stops at the first Sat, decoded into `*out` with
+/// `name_prefix`, or Limit, and returns that outcome (Unsat when the bound
+/// ran out).  Appends one FormulaStat per formula to `*formulas`.
+sat::Outcome direct_round(const sg::StateGraph& g, const sg::CscResult& csc,
+                          const encoding::EncodeOptions& encode, const sat::SolveOptions& solve,
+                          std::size_t max_new_signals, const std::string& name_prefix,
+                          sg::Assignments* out, std::vector<FormulaStat>* formulas);
 
 /// Decode `model` and append each new signal that is not constant to `*out`:
 /// a constant signal separates nothing (the signal-count bound overshot).

@@ -1,7 +1,5 @@
 #include "core/synthesis.hpp"
 
-#include <algorithm>
-
 #include "logic/extract.hpp"
 #include "obs/obs.hpp"
 #include "sg/csc.hpp"
@@ -14,33 +12,20 @@ namespace {
 
 /// Rescue path: when every per-output module reports no conflicts but the
 /// complete graph still violates CSC (conflicting states merged away by
-/// the projections), fall back to a direct encoding of the remaining
-/// conflicts on the complete graph.
-bool rescue_direct(const sg::StateGraph& g, const PartitionSatOptions& opts,
-                   sg::Assignments* assigns, std::vector<FormulaStat>* formulas) {
+/// the projections), resolve the remaining conflicts `csc` with one direct
+/// round on the complete graph, naming its signals csc<N+k>.
+sat::Outcome rescue_direct(const sg::StateGraph& g, const sg::CscResult& csc,
+                           const PartitionSatOptions& opts, sg::Assignments* assigns,
+                           std::vector<FormulaStat>* formulas) {
   obs::Span span("synth.rescue");
-  const auto analysis = sg::analyze_csc(g, assigns->empty() ? nullptr : assigns);
-  if (analysis.satisfied()) return true;
-  std::size_t m = static_cast<std::size_t>(std::max(1, analysis.lower_bound));
-  for (; m <= opts.max_new_signals; ++m) {
-    const encoding::Encoding enc(g, m, analysis.conflicts, analysis.compatible_pairs,
-                                 opts.encode);
-    sat::Model model;
-    formulas->push_back(solve_formula(enc, opts.solve, &model));
-    const sat::Outcome outcome = formulas->back().outcome;
-    if (outcome == sat::Outcome::Sat) {
-      sg::Assignments fresh(g.num_states());
-      enc.decode(model, &fresh, "rescue");
-      for (std::size_t k = 0; k < fresh.num_signals(); ++k) {
-        std::vector<sg::V4> values(fresh.values(k));
-        assigns->add_signal("csc" + std::to_string(g.num_signals() + assigns->num_signals()),
-                            std::move(values));
-      }
-      return true;
-    }
-    if (outcome == sat::Outcome::Limit) return false;
+  sg::Assignments fresh(g.num_states());
+  const sat::Outcome outcome = direct_round(g, csc, opts.encode, opts.solve,
+                                            opts.max_new_signals, "rescue", &fresh, formulas);
+  for (std::size_t k = 0; k < fresh.num_signals(); ++k) {
+    assigns->add_signal("csc" + std::to_string(g.num_signals() + assigns->num_signals()),
+                        std::vector<sg::V4>(fresh.values(k)));
   }
-  return false;
+  return outcome;
 }
 
 /// One per-output unit of a synthesis round: everything up to — but not
@@ -92,38 +77,78 @@ std::size_t derive_all_logic(const sg::StateGraph& g, const logic::MinimizeOptio
   return total;
 }
 
-SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOptions& opts) {
+void run_insertion_flow(const sg::StateGraph& input, const FlowSettings& settings,
+                        const RoundPolicy& round, FlowResult* result) {
   util::Timer timer;
-  obs::Span synth_span("synth.modular");
-  SynthesisResult result;
-
   sg::StateGraph g = sg::contract_silent(input);
-  result.initial_states = g.num_states();
-  result.initial_signals = g.num_signals();
-  // The request deadline is the flow's one deadline: every solve gets it.
-  PartitionSatOptions sat_opts = opts.sat;
-  sat_opts.solve.deadline = opts.deadline;
+  result->initial_states = g.num_states();
+  result->initial_signals = g.num_signals();
 
-  bool failed = false;
-  for (int round = 1; round <= opts.max_rounds; ++round) {
-    // Deadline first: an already-expired request must fail fast even when
+  // CSC is analysed at the top of every round, the check after the last
+  // expansion included, so the last verdict is the run's.
+  bool clean = false;
+  bool stopped = false;
+  for (int r = 1;; ++r) {
+    // Clocks first: an already-expired request must fail fast even when
     // the spec happens to be conflict-free (the service layer relies on
     // this to bound per-request work).
-    if (sat::deadline_passed(opts.deadline)) {
-      result.failure_reason = "deadline exceeded";
-      failed = true;
+    if (r <= settings.max_rounds) {
+      const char* tripped = nullptr;
+      if (sat::deadline_passed(settings.deadline)) {
+        tripped = "deadline exceeded";
+      } else if (settings.time_limit_s > 0 && timer.seconds() > settings.time_limit_s) {
+        tripped = "time limit";
+      }
+      if (tripped != nullptr) {
+        result->failure_reason = tripped;
+        result->hit_limit = true;
+        stopped = true;
+        break;
+      }
+    }
+    const sg::CscResult csc = sg::analyze_csc(g);
+    clean = csc.satisfied();
+    if (clean || r > settings.max_rounds) break;
+    std::optional<sg::Assignments> assigns = round(g, csc, r);
+    if (!assigns.has_value()) {
+      stopped = true;
       break;
     }
-    if (sg::analyze_csc(g).satisfied()) break;
-    result.rounds = round;
+    g = sg::expand(g, *assigns, settings.check_consistency).graph;
+  }
 
+  result->success = !stopped && clean;
+  if (result->success) {
+    // Transient module or attempt limits were recovered.
+    result->failure_reason.clear();
+    result->hit_limit = false;
+  } else if (!stopped) {  // the round budget ran out
+    result->hit_limit = true;
+    if (result->failure_reason.empty()) result->failure_reason = settings.exhausted_reason;
+  }
+  result->final_states = g.num_states();
+  result->final_signals = g.num_signals();
+  result->final_graph = std::move(g);
+  if (result->success && settings.derive_logic) {
+    result->total_literals =
+        derive_all_logic(result->final_graph, settings.minimize, &result->covers);
+  }
+  result->seconds = timer.seconds();
+}
+
+SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOptions& opts) {
+  obs::Span synth_span("synth.modular");
+  SynthesisResult result;
+  const RoundPolicy round = [&](const sg::StateGraph& g, const sg::CscResult& csc,
+                                int r) -> std::optional<sg::Assignments> {
+    result.rounds = r;
     sg::Assignments assigns(g.num_states());
 
     // Figure 6 main loop: one module per output signal, in output order,
     // so output k sees the signals that outputs < k inserted this round.
     for (sg::SignalId o = 0; o < g.num_signals(); ++o) {
       if (g.is_input(o)) continue;
-      ModuleWork w = compute_module(g, o, assigns, sat_opts, round);
+      ModuleWork w = compute_module(g, o, assigns, opts.sat, r);
       if (!w.module.conflicts.empty()) {
         w.report.formulas = w.psr.formulas;
         if (w.psr.success) {
@@ -136,51 +161,37 @@ SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOp
       }
       result.modules.push_back(std::move(w.report));
     }
+    if (!assigns.empty()) return assigns;
 
-    if (assigns.empty()) {
-      // No module saw a conflict, yet the complete graph has some:
-      // projections can merge conflicting states (§3.4 worst case).
-      ModuleReport report;
-      report.output = "(rescue: complete graph)";
-      report.round = round;
-      report.module_states = g.num_states();
-      const bool ok = rescue_direct(g, sat_opts, &assigns, &report.formulas);
-      report.new_signals = assigns.num_signals();
-      report.module_conflicts = sg::analyze_csc(g).conflicts.size();
-      result.modules.push_back(std::move(report));
-      if (!ok || assigns.empty()) {
-        if (result.failure_reason.empty()) {
-          result.failure_reason = "unable to resolve residual CSC conflicts";
-        }
-        failed = true;
-        break;
-      }
+    // No module saw a conflict, yet the complete graph has some:
+    // projections can merge conflicting states (§3.4 worst case).
+    ModuleReport report;
+    report.output = "(rescue: complete graph)";
+    report.round = r;
+    report.module_states = g.num_states();
+    report.module_conflicts = csc.conflicts.size();
+    const sat::Outcome outcome = rescue_direct(g, csc, opts.sat, &assigns, &report.formulas);
+    report.new_signals = assigns.num_signals();
+    result.modules.push_back(std::move(report));
+    if (outcome == sat::Outcome::Sat) return assigns;
+    if (result.failure_reason.empty()) {
+      result.failure_reason = "unable to resolve residual CSC conflicts";
     }
+    result.hit_limit = outcome == sat::Outcome::Limit;
+    return std::nullopt;
+  };
+  run_insertion_flow(input,
+                     {.max_rounds = opts.max_rounds,
+                      .exhausted_reason = "CSC conflicts remain after " +
+                                          std::to_string(opts.max_rounds) + " rounds",
+                      .deadline = opts.sat.solve.deadline,
+                      .derive_logic = opts.derive_logic,
+                      .minimize = opts.minimize},
+                     round, &result);
 
-    const sg::Expansion ex = sg::expand(g, assigns);
-    g = ex.graph;
-  }
-
-  const auto final_analysis = sg::analyze_csc(g);
-  result.success = !failed && final_analysis.satisfied();
-  if (result.success) result.failure_reason.clear();  // transient module limits recovered
-  if (!result.success && result.failure_reason.empty()) {
-    result.failure_reason = "CSC conflicts remain after " + std::to_string(opts.max_rounds) +
-                            " rounds";
-  }
-
-  result.final_states = g.num_states();
-  result.final_signals = g.num_signals();
-  result.final_graph = std::move(g);
-
-  if (result.success && opts.derive_logic) {
-    result.total_literals =
-        derive_all_logic(result.final_graph, opts.minimize, &result.covers);
-  }
   for (const ModuleReport& m : result.modules) {
     for (const FormulaStat& f : m.formulas) result.solver_totals.add(f);
   }
-  result.seconds = timer.seconds();
   synth_span.arg("rounds", result.rounds);
   synth_span.arg("final_states", static_cast<std::int64_t>(result.final_states));
   synth_span.arg("decisions", result.solver_totals.decisions);

@@ -125,10 +125,8 @@ struct SolverTotals {
   std::int64_t restarts = 0;
   std::int64_t learned = 0;
 
-  /// Accumulate one solve's effort: a SolveStats, or any record carrying
-  /// the same five fields (core::FormulaStat).
-  template <typename Stats>
-  void add(const Stats& s) {
+  /// Accumulate one solve's effort (core::FormulaStat is a SolveStats).
+  void add(const SolveStats& s) {
     decisions += s.decisions;
     propagations += s.propagations;
     conflicts += s.conflicts;

@@ -38,11 +38,12 @@ std::string minimize_fingerprint(const logic::MinimizeOptions& m) {
 }
 
 /// Every result-affecting SynthesisOptions field.  Excludes the ignored
-/// num_threads and input_set (no fields) and the absolute `deadline` time
-/// point: request_fingerprint folds the requested budget in instead.  Bump
-/// the version token when a result-affecting field is added.
+/// num_threads and input_set (no fields) and the absolute deadline time
+/// point (solve_fingerprint never renders it): request_fingerprint folds
+/// the requested budget in instead.  Bump the version token when a
+/// result-affecting field is added or a method's artifacts change.
 std::string modular_fingerprint(const core::SynthesisOptions& m) {
-  return "core-v3;" + encode_fingerprint(m.sat.encode) + ";" + solve_fingerprint(m.sat.solve) +
+  return "core-v4;" + encode_fingerprint(m.sat.encode) + ";" + solve_fingerprint(m.sat.solve) +
          ";" + minimize_fingerprint(m.minimize) + ";" +
          util::format("max_new_signals=%zu;max_states=%zu;require_safe=%d;max_rounds=%d;"
                       "derive_logic=%d",
@@ -98,13 +99,11 @@ void fill_common(const sg::StateGraph& final_graph,
   }
 }
 
-/// Copy one method's result into the artifact; the three result structs
-/// share these fields (only the baselines report hit_limit).  A successful
-/// result is verified into `report`.
-template <typename Result>
-void take_result(const Result& r, Artifact* a, verify::Report* report) {
+/// Copy one method's result into the artifact.  A successful result is
+/// verified into `report`.
+void take_result(const core::FlowResult& r, Artifact* a, verify::Report* report) {
   a->success = r.success;
-  if constexpr (requires { r.hit_limit; }) a->hit_limit = r.hit_limit;
+  a->hit_limit = r.hit_limit;
   a->failure_reason = r.failure_reason;
   a->initial_states = r.initial_states;
   a->initial_signals = r.initial_signals;
@@ -142,7 +141,7 @@ std::string request_fingerprint(const RequestOptions& opts) {
     fp += modular_fingerprint(opts.modular);
   } else if (opts.method == "direct") {
     const auto& d = opts.direct;
-    fp += "direct-v2;" + encode_fingerprint(d.encode) + ";" + solve_fingerprint(d.solve) +
+    fp += "direct-v3;" + encode_fingerprint(d.encode) + ";" + solve_fingerprint(d.solve) +
           ";" + minimize_fingerprint(d.minimize) + ";" +
           util::format("max_new_signals=%zu;max_rounds=%d;derive_logic=%d",
                        d.max_new_signals, d.max_rounds, d.derive_logic ? 1 : 0);
@@ -184,7 +183,7 @@ Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts,
 
   if (opts.method == "modular") {
     core::SynthesisOptions mopts = opts.modular;
-    mopts.deadline = deadline;
+    mopts.sat.solve.deadline = deadline;
     take_result(core::modular_synthesis(g, mopts), &a, report);
   } else if (opts.method == "direct") {
     baseline::DirectOptions vopts = opts.direct;

@@ -37,10 +37,10 @@ struct RequestOptions {
   std::string method = "modular";  ///< modular | direct | lavagno
   /// Ignored; removed with the next benchmark change.
   unsigned threads = 1;
-  /// Per-request wall-clock budget; <=0 = none.  Mapped onto the PR-1
-  /// sat::SolveOptions::deadline plumbing (via SynthesisOptions::deadline /
-  /// the baselines' solve.deadline).  Part of the fingerprint: a deadline
-  /// that fires changes results.
+  /// Per-request wall-clock budget; <=0 = none.  Mapped onto the method's
+  /// sat::SolveOptions::deadline (modular.sat.solve, direct.solve,
+  /// lavagno.solve).  Part of the fingerprint: a deadline that fires
+  /// changes results.
   double deadline_s = 0.0;
   core::SynthesisOptions modular;
   baseline::DirectOptions direct;
@@ -75,7 +75,7 @@ struct Artifact {
   std::string name;    ///< spec (STG) name
   std::string method;
   bool success = false;
-  bool hit_limit = false;  ///< the baselines' "SAT Backtrack Limit" outcome
+  bool hit_limit = false;  ///< a budget tripped (core::FlowResult::hit_limit)
   std::string failure_reason;
 
   std::size_t initial_states = 0, initial_signals = 0;

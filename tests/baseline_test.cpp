@@ -58,6 +58,17 @@ TEST(Direct, BacktrackLimitProducesLimitRow) {
   EXPECT_EQ(r.formulas.back().outcome, sat::Outcome::Limit);
 }
 
+TEST(Direct, RoundBudgetExhaustionIsNamed) {
+  // A spent round budget is a tripped budget, and the failure names it.
+  const auto g = sg::StateGraph::from_stg(benchmarks::find_benchmark("pa")->make());
+  baseline::DirectOptions opts;
+  opts.max_rounds = 0;
+  const auto r = baseline::direct_synthesis(g, opts);
+  EXPECT_FALSE(r.success);
+  EXPECT_TRUE(r.hit_limit);
+  EXPECT_EQ(r.failure_reason, "CSC conflicts remain after 0 rounds");
+}
+
 TEST(Direct, FormulaSizesMatchTheModel) {
   // vars = 2*N*m for the core encoding (§2.1).
   const auto g = sg::StateGraph::from_stg(toggle_stg());

@@ -254,6 +254,18 @@ TEST(Synthesis, RoundTimeLimitStillTerminates) {
   }
 }
 
+TEST(Synthesis, RoundBudgetExhaustionIsALimit) {
+  // The same rule as the baselines: a spent round budget is a tripped
+  // budget, and the failure names it.
+  core::SynthesisOptions opts;
+  opts.max_rounds = 0;
+  const auto r = core::modular_synthesis(toggle_stg(), opts);
+  EXPECT_FALSE(r.success);
+  EXPECT_TRUE(r.hit_limit);
+  EXPECT_EQ(r.failure_reason, "CSC conflicts remain after 0 rounds");
+  EXPECT_EQ(r.rounds, 0);
+}
+
 TEST(Synthesis, DerivedAllLogicCountsEveryNonInput) {
   const auto r = core::modular_synthesis(fork_stg());
   ASSERT_TRUE(r.success);

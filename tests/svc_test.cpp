@@ -549,6 +549,7 @@ TEST(SvcRunSynthesis, ExpiredDeadlineFailsFast) {
     opts.deadline_s = 1e-9;  // expires before the first round starts
     const svc::Artifact a = svc::run_synthesis(tiny_spec(), opts);
     EXPECT_FALSE(a.success) << method;
+    EXPECT_TRUE(a.hit_limit) << method;
     EXPECT_EQ(a.failure_reason, "deadline exceeded") << method;
   }
 }

@@ -102,7 +102,7 @@ TEST(Table1Pin, ModularQualityColumnsArePinned) {
 }
 
 /// One "signal:cube + cube" line per cover, in the flow's signal order.
-std::string covers_text(const core::SynthesisResult& r) {
+std::string covers_text(const core::FlowResult& r) {
   std::string text;
   for (const auto& [name, cover] : r.covers) text += name + ":" + cover.to_string() + "\n";
   return text;
@@ -125,22 +125,52 @@ struct BaselinePin {
   std::size_t v_states, v_signals, v_literals;
   // monolithic (Lavagno-style): final signals/literals
   std::size_t l_signals, l_literals;
+  // covers_text() digests, recorded before the three methods shared one
+  // insertion skeleton
+  const char* v_covers_sha256;
+  const char* l_covers_sha256;
 };
 
 constexpr BaselinePin kBaselinePins[] = {
-    {"mmu1", 156, 11, 29, 11, 23},
-    {"sbuf-ram-write", 96, 13, 69, 13, 86},
-    {"atod", 32, 8, 19, 8, 31},
-    {"pa", 38, 7, 28, 7, 27},
-    {"alloc-outbound", 22, 9, 23, 9, 23},
-    {"wrdata", 38, 7, 26, 7, 31},
-    {"fifo", 31, 7, 25, 8, 66},
-    {"sbuf-read-ctl", 18, 7, 16, 7, 14},
-    {"nouse", 20, 5, 10, 5, 10},
-    {"vbe-ex2", 12, 3, 7, 3, 7},
-    {"nousc-ser", 10, 4, 12, 7, 39},
-    {"sendr-done", 13, 5, 11, 5, 18},
-    {"vbe-ex1", 6, 3, 7, 3, 7},
+    {"mmu1", 156, 11, 29, 11, 23,
+     "99b5fe924934c9894d78283a5c58bbf68c75ad1c731ed4e62088b8123aaef8cd",
+     "a54e29436dd6ba94957c9692588fc66a9f43801767cbd4c8df6658cec6d00197"},
+    {"sbuf-ram-write", 96, 13, 69, 13, 86,
+     "00a42c9c3ac9c39eb6319e52991fa28689b461730977e776359580eea809255e",
+     "e6aaf95ec099d4fbdf887823625bd8449a8ea0f1e8d5b588a460a6bf7f97d454"},
+    {"atod", 32, 8, 19, 8, 31,
+     "e6666320bb2166b7dc4d9dad6a39e4cd890f26470b0d7e497b19feb1e695fd46",
+     "de632b780d2cd92375a5d60b7555ce4c2d1e60933f0871a132636c63d0d26f9a"},
+    {"pa", 38, 7, 28, 7, 27,
+     "34536e035acf800f97adcfb15ba9477b867fb9852b171020c846b7b984232e41",
+     "94d3eb3c4629fa64aed068cd030824d8022c745a74fb5f37deb3c5c994235bb5"},
+    {"alloc-outbound", 22, 9, 23, 9, 23,
+     "79d63e157bf13d7ddc9955e906bd855e060b14eac9211a10e987abeed7f70b06",
+     "f8b6be7457bfa218a52eec72fc5e99e06acd87d64e3970e6fd7ca393a1b67ffe"},
+    {"wrdata", 38, 7, 26, 7, 31,
+     "c82461ee9f27c34148b1b9751a3a164e47f0dd0fd0bacf6a8c8b5062501e7ff5",
+     "f7a7b6587f803a8c44886ec873feccd391549cac5f4823605aaee43ca04d2c2b"},
+    {"fifo", 31, 7, 25, 8, 66,
+     "996bc85afab5554440e981b18e3e3589c443906028809b2e5481071badd708d6",
+     "ac61b3179317e92b04e16e667b7f25a39af0179208289a60597c105e3ed2caa1"},
+    {"sbuf-read-ctl", 18, 7, 16, 7, 14,
+     "930be27e631a32892d7672ffd3f7ba08447ca0df14aa4c60d35f3042636b7ba4",
+     "762a1589ab45ffc41749f1a883d1dc87ace4a3fc97a6f19d473f4f4371fa3a23"},
+    {"nouse", 20, 5, 10, 5, 10,
+     "ce978e3498e8fc075beb63e7b4eb5f4795bcc3d5e4dd2385d1fda4a5cf86e95f",
+     "d8f75923e6f212321c7a22f9878a7e5c237d68cc0eeef4e6783e205b5b86985e"},
+    {"vbe-ex2", 12, 3, 7, 3, 7,
+     "c2427ce00468b323e73d6f35dfe23bbf4a25b2d63cf97e0e5117585de4396e8e",
+     "0b7923a5911fcd9e4ffc1e609e6746adf074d9a6473ebc9993e8b32eda761e59"},
+    {"nousc-ser", 10, 4, 12, 7, 39,
+     "cec05e52a1b3e2380760527ae2ceffa07b9c505dd6f6124e2384ec3af5ff5d59",
+     "6862d4a4520335036c6add647bb910bb683447f076cce58db178ce44301f30d4"},
+    {"sendr-done", 13, 5, 11, 5, 18,
+     "57c112d66f836ce58bcf11bee0ad0aece3b479879a66d5ec83d099cb8e982f75",
+     "8d0b00a62c6892ed7c8ca28568f74e1eb78197a3bebb9f6d973b7e1da30be705"},
+    {"vbe-ex1", 6, 3, 7, 3, 7,
+     "c2427ce00468b323e73d6f35dfe23bbf4a25b2d63cf97e0e5117585de4396e8e",
+     "0cf6f6ebb3b952b6c0c0baa2d1ac193bf38b161a9298ea9c686896ce46e37dbf"},
 };
 
 TEST(Table1Pin, BaselineQualityColumnsArePinnedOnFastRows) {
@@ -157,6 +187,8 @@ TEST(Table1Pin, BaselineQualityColumnsArePinnedOnFastRows) {
     EXPECT_EQ(v.final_states, pin.v_states) << pin.name;
     EXPECT_EQ(v.final_signals, pin.v_signals) << pin.name;
     EXPECT_EQ(v.total_literals, pin.v_literals) << pin.name;
+    EXPECT_EQ(svc::sha256_hex(covers_text(v)), pin.v_covers_sha256) << pin.name << "\n"
+                                                                    << covers_text(v);
 
     baseline::LavagnoOptions lopts;
     lopts.solve.max_backtracks = 2000000;
@@ -166,6 +198,8 @@ TEST(Table1Pin, BaselineQualityColumnsArePinnedOnFastRows) {
     ASSERT_TRUE(l.success) << pin.name;
     EXPECT_EQ(l.final_signals, pin.l_signals) << pin.name;
     EXPECT_EQ(l.total_literals, pin.l_literals) << pin.name;
+    EXPECT_EQ(svc::sha256_hex(covers_text(l)), pin.l_covers_sha256) << pin.name << "\n"
+                                                                    << covers_text(l);
   }
 }
 
