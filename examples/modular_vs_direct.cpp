@@ -62,11 +62,13 @@ int main(int argc, char** argv) {
       std::printf(" (no SAT needed)");
     }
     for (const auto& f : module.formulas) {
-      std::printf("\n    SAT formula: m=%zu, %zu clauses, %zu vars -> %s", f.num_new_signals,
+      std::printf("\n    %s: m=%zu, %zu clauses, %zu vars -> %s",
+                  f.certificate ? "certificate" : "SAT formula", f.num_new_signals,
                   f.num_clauses, f.num_vars,
-                  f.outcome == sat::Outcome::Sat     ? "SAT"
-                  : f.outcome == sat::Outcome::Unsat ? "UNSAT, add a signal"
-                                                     : "limit");
+                  f.outcome == sat::Outcome::Sat ? "SAT"
+                  : f.outcome == sat::Outcome::Unsat
+                      ? (f.certificate ? "UNSAT, no signal count works" : "UNSAT, add a signal")
+                      : "limit");
     }
     std::printf("\n");
   }

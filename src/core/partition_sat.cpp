@@ -2,22 +2,32 @@
 
 #include <algorithm>
 
+#include "obs/obs.hpp"
 #include "util/common.hpp"
 
 namespace mps::core {
 
 namespace {
 
-/// Solve one CSC formula with sat::Solver and record its size, outcome,
-/// wall time and search effort.  On Sat, `*model` receives the assignment.
-FormulaStat solve_formula(const encoding::Encoding& enc, const sat::SolveOptions& opts,
+/// Solve one CSC formula over `m` new signals with sat::Solver and record
+/// its size, outcome, wall time and search effort.  On Sat, `*model`
+/// receives the assignment.
+FormulaStat solve_formula(const sat::Cnf& cnf, std::size_t m, const sat::SolveOptions& opts,
                           sat::Model* model) {
   FormulaStat stat;
-  stat.num_new_signals = enc.num_new_signals();
-  stat.num_vars = enc.cnf().num_vars();
-  stat.num_clauses = enc.cnf().num_clauses();
-  stat.outcome = sat::Solver().solve(enc.cnf(), model, &stat, opts);
+  stat.num_new_signals = m;
+  stat.num_vars = cnf.num_vars();
+  stat.num_clauses = cnf.num_clauses();
+  stat.outcome = sat::Solver().solve(cnf, model, &stat, opts);
   return stat;
+}
+
+/// True when `model` of an m = 1 encoding gives i and j stable,
+/// complementary values.
+bool separates(const encoding::Encoding& enc, const sat::Model& model, sg::StateId i,
+               sg::StateId j) {
+  return !model[enc.var_a(i, 0)] && !model[enc.var_a(j, 0)] &&
+         model[enc.var_b(i, 0)] != model[enc.var_b(j, 0)];
 }
 
 }  // namespace
@@ -30,7 +40,7 @@ sat::Outcome direct_round(const sg::StateGraph& g, const sg::CscResult& csc,
        m <= max_new_signals; ++m) {
     const encoding::Encoding enc(g, m, csc.conflicts, csc.compatible_pairs, encode);
     sat::Model model;
-    formulas->push_back(solve_formula(enc, solve, &model));
+    formulas->push_back(solve_formula(enc.cnf(), m, solve, &model));
     const sat::Outcome outcome = formulas->back().outcome;
     if (outcome == sat::Outcome::Sat) enc.decode(model, out, name_prefix);
     if (outcome != sat::Outcome::Unsat) return outcome;
@@ -51,6 +61,49 @@ void decode_varying(const encoding::Encoding& enc, const sat::Model& model,
   }
 }
 
+sat::Cnf pinned_pair_formula(const encoding::Encoding& base, sg::StateId i, sg::StateId j) {
+  MPS_ASSERT(base.num_new_signals() == 1);
+  sat::Cnf cnf = base.cnf();
+  cnf.add_unit(sat::neg(base.var_a(i, 0)));
+  cnf.add_unit(sat::neg(base.var_b(i, 0)));
+  cnf.add_unit(sat::neg(base.var_a(j, 0)));
+  cnf.add_unit(sat::pos(base.var_b(j, 0)));
+  return cnf;
+}
+
+sat::Outcome separability_certificate(const ModuleGraph& module, const PartitionSatOptions& opts,
+                                      std::vector<FormulaStat>* formulas) {
+  obs::Span span("synth.certificate");
+  // Pinning i to 0 and j to 1 covers the (1, 0) orientation too: every
+  // per-signal clause is invariant under 0<->1, Up<->Down.  Full USC would
+  // add separation clauses, so the base never enforces it.
+  encoding::EncodeOptions encode = opts.encode;
+  encode.enforce_usc = false;
+  const encoding::Encoding base(module.proj.graph, 1, {}, {}, encode);
+  const auto& pairs = module.conflicts;
+  std::vector<bool> separated(pairs.size(), false);
+  const std::size_t first = formulas->size();
+  sat::Outcome outcome = sat::Outcome::Sat;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    if (separated[p]) continue;
+    sat::Model model;
+    formulas->push_back(
+        solve_formula(pinned_pair_formula(base, pairs[p].first, pairs[p].second), 1, opts.solve,
+                      &model));
+    formulas->back().certificate = true;
+    outcome = formulas->back().outcome;
+    if (outcome != sat::Outcome::Sat) break;
+    // One witness often separates many of the remaining pairs.
+    for (std::size_t q = p + 1; q < pairs.size(); ++q) {
+      if (!separated[q]) separated[q] = separates(base, model, pairs[q].first, pairs[q].second);
+    }
+  }
+  span.arg("pairs", static_cast<std::int64_t>(pairs.size()));
+  span.arg("formulas", static_cast<std::int64_t>(formulas->size() - first));
+  span.arg("refuted", outcome == sat::Outcome::Unsat ? 1 : 0);
+  return outcome;
+}
+
 PartitionSatResult partition_sat(const ModuleGraph& module, const std::string& name_prefix,
                                  const PartitionSatOptions& opts) {
   PartitionSatResult result;
@@ -63,16 +116,22 @@ PartitionSatResult partition_sat(const ModuleGraph& module, const std::string& n
   // Figure 4: start at the module's lower bound; on UNSAT add a state
   // signal.  Outcome::Limit escalates m the same way: a larger signal
   // count often has easy solutions where the smaller formula was a hard
-  // (likely unsatisfiable) instance.
-  for (std::size_t m = static_cast<std::size_t>(std::max(1, module.lower_bound));
-       m <= opts.max_new_signals; ++m) {
+  // (likely unsatisfiable) instance.  Before the first escalation, the
+  // separability certificate stops it when no m can succeed.
+  const std::size_t lowest = static_cast<std::size_t>(std::max(1, module.lower_bound));
+  for (std::size_t m = lowest; m <= opts.max_new_signals; ++m) {
     const encoding::Encoding enc(module.proj.graph, m, module.conflicts,
                                  module.compatible_pairs, opts.encode);
     sat::Model model;
-    result.formulas.push_back(solve_formula(enc, opts.solve, &model));
+    result.formulas.push_back(solve_formula(enc.cnf(), m, opts.solve, &model));
     if (result.formulas.back().outcome == sat::Outcome::Sat) {
       decode_varying(enc, model, name_prefix, &result.module_assignments);
       result.success = true;
+      return result;
+    }
+    if (m == lowest && m < opts.max_new_signals &&
+        separability_certificate(module, opts, &result.formulas) == sat::Outcome::Unsat) {
+      result.refuted = true;
       return result;
     }
   }

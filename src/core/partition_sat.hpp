@@ -1,6 +1,9 @@
 // partition_sat (Figure 4): satisfy the module's CSC constraints by SAT,
 // starting from the lower bound on new state signals and adding one signal
-// at a time until the formula is satisfiable.
+// at a time until the formula is satisfiable.  Before the first escalation
+// a single-signal separability certificate asks whether any signal count
+// can succeed, so a module no m can solve fails after a few tiny formulas
+// instead of after one capped solve per m (DESIGN.md §6).
 #pragma once
 
 #include <string>
@@ -20,13 +23,16 @@ struct FormulaStat : sat::SolveStats {
   std::size_t num_vars = 0;
   std::size_t num_clauses = 0;
   sat::Outcome outcome = sat::Outcome::Unsat;
+  /// A separability-certificate solve, not a Figure-4 formula.
+  bool certificate = false;
 };
 
 struct PartitionSatOptions {
   encoding::EncodeOptions encode;
-  /// Module formulas are tiny, but pathological UNSAT escalations exist;
-  /// a backtrack cap keeps a single module from stalling the flow (the
-  /// rescue path then finishes the job on the complete graph).
+  /// Module formulas are tiny, but a formula at too small an m can still be
+  /// a hard Unsat instance; a backtrack cap keeps a single module from
+  /// stalling the flow (Figure 4 then escalates m, and the rescue path
+  /// finishes the job on the complete graph if every m fails).
   sat::SolveOptions solve{.max_backtracks = 150'000, .time_limit_s = 5.0};
   std::size_t max_new_signals = 10;
 };
@@ -47,8 +53,27 @@ sat::Outcome direct_round(const sg::StateGraph& g, const sg::CscResult& csc,
 void decode_varying(const encoding::Encoding& enc, const sat::Model& model,
                     const std::string& name_prefix, sg::Assignments* out);
 
+/// The certificate formula of conflict pair (i, j): `base`, an m = 1
+/// Encoding without separation or compatibility clauses, plus four unit
+/// clauses pinning i to stable 0 and j to stable 1.
+sat::Cnf pinned_pair_formula(const encoding::Encoding& base, sg::StateId i, sg::StateId j);
+
+/// Single-signal separability certificate for the module's conflicts.
+/// Every clause family except separation and compatibility is per signal,
+/// so a conflict pair that no single signal can separate is separated by
+/// no m signals either.  Solves one pinned_pair_formula per pair not
+/// already separated by an earlier witness, and stops at the first
+/// non-Sat outcome: Unsat proves no m solves the module, Limit leaves the
+/// question open, Sat means every pair has a separating signal.  Appends
+/// one FormulaStat (certificate = true) per solve to `*formulas`.
+sat::Outcome separability_certificate(const ModuleGraph& module, const PartitionSatOptions& opts,
+                                      std::vector<FormulaStat>* formulas);
+
 struct PartitionSatResult {
   bool success = false;
+  /// The separability certificate proved that no signal count can
+  /// separate the module's conflicts.
+  bool refuted = false;
   /// New signals' assignments on the *module* states.
   sg::Assignments module_assignments;
   std::vector<FormulaStat> formulas;

@@ -155,6 +155,9 @@ SynthesisResult modular_synthesis(const sg::StateGraph& input, const SynthesisOp
           w.report.new_signals = w.psr.module_assignments.num_signals();
           propagate(w.module, w.psr.module_assignments, &assigns,
                     /*name_offset=*/g.num_signals());
+        } else if (w.psr.refuted) {
+          result.failure_reason =
+              "no state-signal count separates the conflicts of output " + w.report.output;
         } else {
           result.failure_reason = "partition SAT hit its limit for output " + w.report.output;
         }

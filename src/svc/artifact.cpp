@@ -43,7 +43,7 @@ std::string minimize_fingerprint(const logic::MinimizeOptions& m) {
 /// the requested budget in instead.  Bump the version token when a
 /// result-affecting field is added or a method's artifacts change.
 std::string modular_fingerprint(const core::SynthesisOptions& m) {
-  return "core-v4;" + encode_fingerprint(m.sat.encode) + ";" + solve_fingerprint(m.sat.solve) +
+  return "core-v5;" + encode_fingerprint(m.sat.encode) + ";" + solve_fingerprint(m.sat.solve) +
          ";" + minimize_fingerprint(m.minimize) + ";" +
          util::format("max_new_signals=%zu;max_states=%zu;require_safe=%d;max_rounds=%d;"
                       "derive_logic=%d",

@@ -130,6 +130,54 @@ TEST(PartitionSat, SolvesToggleModule) {
             2 * module.proj.graph.num_states() * psr.formulas.back().num_new_signals);
 }
 
+TEST(PartitionSat, CertificateRefutesUnseparableModule) {
+  // sendr-done's output e: no signal count separates its module's
+  // conflicts.  Figure 4 alone refutes m = 1..5 and then spends its whole
+  // backtrack cap at every m up to the bound; the separability
+  // certificate stops it after the first formula.
+  const auto g = sg::StateGraph::from_stg(benchmarks::find_benchmark("sendr-done")->make());
+  const sg::Assignments none(g.num_states());
+  const sg::SignalId e = g.find_signal("e");
+  const auto module = core::build_module(g, e, core::determine_input_set(g, e, none), none);
+  ASSERT_FALSE(module.conflicts.empty());
+  const core::PartitionSatOptions opts;
+  const auto psr = core::partition_sat(module, "n", opts);
+  EXPECT_FALSE(psr.success);
+  EXPECT_TRUE(psr.refuted);
+  std::int64_t conflicts = 0;
+  std::size_t certificates = 0;
+  for (const auto& f : psr.formulas) {
+    EXPECT_NE(f.outcome, sat::Outcome::Limit);
+    conflicts += f.conflicts;
+    certificates += f.certificate ? 1 : 0;
+  }
+  EXPECT_GE(certificates, 1u);
+  EXPECT_LT(conflicts, 100);
+  // The refutation is right: the full Figure-4 formula is Unsat at every
+  // m the escalation would have tried.
+  sat::SolveOptions cdcl;
+  cdcl.engine = sat::Engine::Cdcl;
+  for (std::size_t m = static_cast<std::size_t>(std::max(1, module.lower_bound));
+       m <= opts.max_new_signals; ++m) {
+    const encoding::Encoding enc(module.proj.graph, m, module.conflicts, module.compatible_pairs,
+                                 opts.encode);
+    EXPECT_EQ(sat::Solver().solve(enc.cnf(), nullptr, nullptr, cdcl), sat::Outcome::Unsat)
+        << "m=" << m;
+  }
+}
+
+TEST(Synthesis, RefutedModuleIsNamedInTheFailureReason) {
+  // Without the rescue round the refuted module's proof is the run's
+  // failure reason.
+  core::SynthesisOptions opts;
+  opts.derive_logic = false;
+  opts.max_rounds = 1;
+  const auto r = core::modular_synthesis(
+      sg::StateGraph::from_stg(benchmarks::find_benchmark("sendr-done")->make()), opts);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.failure_reason, "no state-signal count separates the conflicts of output e");
+}
+
 TEST(Propagate, CopiesThroughCoverMap) {
   const auto g = sg::StateGraph::from_stg(toggle_stg());
   const sg::Assignments none(g.num_states());

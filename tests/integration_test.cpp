@@ -87,7 +87,8 @@ TEST(Integration, GFileRoundTripThenSynthesis) {
 
 TEST(Integration, ModuleFormulasAreOrdersOfMagnitudeSmaller) {
   // The paper's mmu0 narrative: the direct formula is enormous, the
-  // modular formulas are tiny.
+  // modular formulas are tiny.  Certificate solves are not Figure-4
+  // formulas and are left out.
   const auto* b = benchmarks::find_benchmark("mmu0");
   const auto g = sg::StateGraph::from_stg(b->make());
   const auto analysis = sg::analyze_csc(g);
@@ -100,13 +101,13 @@ TEST(Integration, ModuleFormulasAreOrdersOfMagnitudeSmaller) {
   std::size_t largest_module_formula = 0;
   for (const auto& m : r.modules) {
     for (const auto& f : m.formulas) {
-      largest_module_formula = std::max(largest_module_formula, f.num_clauses);
+      if (!f.certificate) largest_module_formula = std::max(largest_module_formula, f.num_clauses);
     }
   }
   ASSERT_GT(largest_module_formula, 0u);
   std::size_t total_module_clauses = 0;
   for (const auto& m : r.modules) {
-    for (const auto& f : m.formulas) total_module_clauses += f.num_clauses;
+    for (const auto& f : m.formulas) total_module_clauses += f.certificate ? 0 : f.num_clauses;
   }
   EXPECT_GT(direct.cnf().num_clauses(), 2 * largest_module_formula)
       << "direct " << direct.cnf().num_clauses() << " vs largest module "

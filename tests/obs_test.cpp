@@ -129,6 +129,27 @@ TEST_F(Obs, SynthesisEmitsModuleAndExpandSpans) {
   EXPECT_EQ(obs::counter_value("sat.conflicts"), r.solver_totals.conflicts);
 }
 
+TEST_F(Obs, CertificateSolvesAreCountedLikeFigure4Solves) {
+  // sendr-done's output e is refuted by the separability certificate in
+  // both rounds; its solves feed the same counters as the module formulas.
+  obs::set_enabled(true);
+  const auto r = core::modular_synthesis(
+      sg::StateGraph::from_stg(benchmarks::find_benchmark("sendr-done")->make()));
+  ASSERT_TRUE(r.success) << r.failure_reason;
+  std::size_t certificates = 0;
+  for (const auto& m : r.modules) {
+    for (const auto& f : m.formulas) certificates += f.certificate ? 1 : 0;
+  }
+  ASSERT_GE(certificates, 1u);
+  const std::string trace = obs::chrome_trace_json();
+  EXPECT_NE(trace.find("\"synth.certificate\""), std::string::npos);
+  EXPECT_NE(trace.find("\"pairs\":2"), std::string::npos);
+  EXPECT_NE(trace.find("\"refuted\":1"), std::string::npos);
+  EXPECT_EQ(obs::counter_value("sat.decisions"), r.solver_totals.decisions);
+  EXPECT_EQ(obs::counter_value("sat.propagations"), r.solver_totals.propagations);
+  EXPECT_EQ(obs::counter_value("sat.conflicts"), r.solver_totals.conflicts);
+}
+
 TEST_F(Obs, OneRequestVerifiesOnce) {
   // One run_synthesis call runs the verifier once, and with it one
   // speed-independence check; the report it hands back is what

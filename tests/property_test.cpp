@@ -2,7 +2,11 @@
 // hold on *every* well-formed STG, exercised on randomly generated ones.
 #include <gtest/gtest.h>
 
+#include "benchmarks/benchmarks.hpp"
 #include "benchmarks/generators.hpp"
+#include "core/input_set.hpp"
+#include "core/module_graph.hpp"
+#include "core/partition_sat.hpp"
 #include "core/synthesis.hpp"
 #include "encoding/csc_sat.hpp"
 #include "logic/extract.hpp"
@@ -27,7 +31,54 @@ sg::StateGraph random_graph(std::uint64_t seed, int signals = 6) {
   return sg::StateGraph::from_stg(benchmarks::random_stg(rng, opts));
 }
 
+/// Soundness of partition_sat's separability certificate on the first-round
+/// module of every output of `g` (no state signals inserted yet).  Pinning
+/// a pair to (0, 1) loses nothing against the unpinned single-pair m = 1
+/// formula, by the 0<->1, Up<->Down symmetry of the per-signal clauses; and
+/// every refutation holds for the full Figure-4 formula at every m.
+void expect_certificate_sound(const sg::StateGraph& g, const std::string& name) {
+  const core::PartitionSatOptions opts;
+  sat::SolveOptions cdcl;
+  cdcl.engine = sat::Engine::Cdcl;
+  const auto solve = [&](const sat::Cnf& cnf) {
+    return sat::Solver().solve(cnf, nullptr, nullptr, cdcl);
+  };
+  const sg::Assignments none(g.num_states());
+  for (sg::SignalId o = 0; o < g.num_signals(); ++o) {
+    if (g.is_input(o)) continue;
+    const auto module = core::build_module(g, o, core::determine_input_set(g, o, none), none);
+    const std::string where = name + "/" + g.signal(o).name;
+    const encoding::Encoding base(module.proj.graph, 1, {}, {}, opts.encode);
+    for (const auto& [i, j] : module.conflicts) {
+      const encoding::Encoding single(module.proj.graph, 1, {{i, j}}, {}, opts.encode);
+      EXPECT_EQ(solve(core::pinned_pair_formula(base, i, j)), solve(single.cnf()))
+          << where << " pair (" << i << ", " << j << ")";
+    }
+    std::vector<core::FormulaStat> formulas;
+    if (module.conflicts.empty() ||
+        core::separability_certificate(module, opts, &formulas) != sat::Outcome::Unsat) {
+      continue;
+    }
+    for (std::size_t m = static_cast<std::size_t>(std::max(1, module.lower_bound));
+         m <= opts.max_new_signals; ++m) {
+      const encoding::Encoding enc(module.proj.graph, m, module.conflicts,
+                                   module.compatible_pairs, opts.encode);
+      EXPECT_EQ(solve(enc.cnf()), sat::Outcome::Unsat) << where << " refuted, yet m=" << m;
+    }
+  }
+}
+
+TEST(CertificateProperty, SoundOnEveryTable1Module) {
+  for (const benchmarks::Benchmark& b : benchmarks::table1_benchmarks()) {
+    expect_certificate_sound(sg::StateGraph::from_stg(b.make()), b.name);
+  }
+}
+
 class RandomStgProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomStgProperty, SeparabilityCertificateIsSound) {
+  expect_certificate_sound(random_graph(GetParam()), "seed " + std::to_string(GetParam()));
+}
 
 TEST_P(RandomStgProperty, CodesAreConsistentAlongEveryEdge) {
   const auto g = random_graph(GetParam());
