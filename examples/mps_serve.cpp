@@ -19,7 +19,6 @@
 // span events without bound.
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "mps.hpp"
 
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
     if (arg == "--socket") {
       const char* v = next();
       if (v == nullptr) return usage();
-      opts.socket_path = v;
+      opts.listen = "unix:" + std::string(v);
     } else if (arg == "--listen") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -113,7 +112,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (opts.socket_path.empty() && opts.listen.empty()) {
+  if (opts.listen.empty()) {
     std::fprintf(stderr, "error: --socket PATH or --listen HOST:PORT is required\n");
     return usage();
   }
@@ -128,9 +127,7 @@ int main(int argc, char** argv) {
     server.start();
     server.install_signal_handlers();
     std::printf("mps_serve: listening on %s (threads=%u, queue-cap=%zu, cache=%s)\n",
-                server.bound_endpoint().str().c_str(),
-                opts.service.sched.num_threads == 0 ? std::thread::hardware_concurrency()
-                                                    : opts.service.sched.num_threads,
+                server.bound_endpoint().str().c_str(), server.service().scheduler().num_threads(),
                 opts.service.sched.queue_cap,
                 opts.service.cache.dir.empty() ? "<memory only>"
                                                : opts.service.cache.dir.c_str());

@@ -85,8 +85,6 @@ class SymbolicStg {
   Manager& manager() { return mgr_; }
   const stg::Stg& stg() const { return stg_; }
 
-  /// Number of state bits (places + non-dummy signals).
-  std::size_t num_state_bits() const { return num_bits_; }
   /// Current-state BDD variable of a place / signal bit.
   std::uint32_t place_var(petri::PlaceId p) const { return 2 * bit_pos_place_[p]; }
   std::uint32_t signal_var(stg::SignalId s) const;

@@ -94,7 +94,7 @@ void run_insertion_flow(const sg::StateGraph& input, const FlowSettings& setting
     // this to bound per-request work).
     if (r <= settings.max_rounds) {
       const char* tripped = nullptr;
-      if (sat::deadline_passed(settings.deadline)) {
+      if (settings.deadline.expired()) {
         tripped = "deadline exceeded";
       } else if (settings.time_limit_s > 0 && timer.seconds() > settings.time_limit_s) {
         tripped = "time limit";

@@ -10,7 +10,6 @@
 // graph's CSC conflicts into state-signal assignments.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <optional>
 #include <string>
@@ -23,6 +22,7 @@
 #include "sg/csc.hpp"
 #include "sg/expand.hpp"
 #include "stg/stg.hpp"
+#include "util/common.hpp"
 
 namespace mps::core {
 
@@ -105,7 +105,7 @@ struct FlowSettings {
   std::string exhausted_reason;
   /// Checked before each round: a round that would start past either one
   /// stops the run ("deadline exceeded" / "time limit").
-  std::chrono::steady_clock::time_point deadline{};
+  util::Deadline deadline{};
   double time_limit_s = 0.0;  ///< whole run, wall clock; <=0 = none
   bool check_consistency = true;  ///< sg::expand's structural re-check
   bool derive_logic = true;

@@ -42,8 +42,6 @@ class Cube {
   bool is_empty() const;
   /// Number of literals.
   std::size_t literal_count() const;
-  /// log2 of the number of minterms (free variable count), empty -> -1.
-  int free_count() const { return static_cast<int>(num_vars_ - literal_count()); }
 
   /// Does this cube contain the given minterm code?
   bool contains_code(const util::BitVec& code) const;

@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "net/io.hpp"
 #include "util/common.hpp"
 #include "util/parse.hpp"
 #include "util/text.hpp"
@@ -173,29 +174,19 @@ Endpoint bound_endpoint(int listen_fd, const Endpoint& requested) {
   return ep;
 }
 
-int connect_to(const Endpoint& ep, double timeout_s) {
-  // Non-blocking connect + poll gives the timeout; the fd is switched back
-  // to blocking before it is returned (all session I/O is poll-then-read).
+int connect_to(const Endpoint& ep, const util::Deadline& deadline) {
+  // Non-blocking connect + wait_ready gives the timeout; the fd is switched
+  // back to blocking before it is returned (all session I/O is
+  // poll-then-read).
   auto finish_connect = [&](int fd) -> bool {
-    if (timeout_s > 0) {
-      pollfd pfd{fd, POLLOUT, 0};
-      const int timeout_ms = static_cast<int>(timeout_s * 1000.0);
-      int rc;
-      do {
-        rc = ::poll(&pfd, 1, timeout_ms < 1 ? 1 : timeout_ms);
-      } while (rc < 0 && errno == EINTR);
-      if (rc == 0) {
+    switch (wait_ready(fd, POLLOUT, deadline)) {
+      case IoStatus::Ok:
+        break;
+      case IoStatus::Timeout:
         errno = ETIMEDOUT;
         return false;
-      }
-      if (rc < 0) return false;
-    } else {
-      pollfd pfd{fd, POLLOUT, 0};
-      int rc;
-      do {
-        rc = ::poll(&pfd, 1, -1);
-      } while (rc < 0 && errno == EINTR);
-      if (rc < 0) return false;
+      default:
+        return false;
     }
     int err = 0;
     socklen_t len = sizeof(err);

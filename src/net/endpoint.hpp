@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/common.hpp"
+
 namespace mps::net {
 
 struct Endpoint {
@@ -50,9 +52,9 @@ int listen_on(const Endpoint& ep, int backlog);
 /// that a TCP port 0 is resolved to the kernel-assigned port.
 Endpoint bound_endpoint(int listen_fd, const Endpoint& requested);
 
-/// Blocking-connect with a timeout (non-blocking connect + poll under the
-/// hood; <=0 = wait forever).  Returns a connected fd in blocking mode.
-/// Throws util::Error on failure or timeout.
-int connect_to(const Endpoint& ep, double timeout_s);
+/// Connect before `deadline` (non-blocking connect + poll under the hood;
+/// a never-expiring deadline waits as long as the OS does).  Returns a
+/// connected fd in blocking mode.  Throws util::Error on failure or timeout.
+int connect_to(const Endpoint& ep, const util::Deadline& deadline);
 
 }  // namespace mps::net

@@ -7,40 +7,7 @@
 
 namespace mps::net {
 
-Deadline Deadline::after(double seconds) {
-  Deadline d;
-  if (seconds > 0) {
-    d.armed_ = true;
-    d.at_ = std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(seconds));
-  }
-  return d;
-}
-
-bool Deadline::expired() const {
-  return armed_ && std::chrono::steady_clock::now() >= at_;
-}
-
-int Deadline::poll_ms() const {
-  if (!armed_) return -1;
-  const auto left = at_ - std::chrono::steady_clock::now();
-  if (left <= std::chrono::steady_clock::duration::zero()) return 0;
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(left).count();
-  // Round up so a 0.4 ms remainder polls 1 ms instead of busy-spinning at 0.
-  return static_cast<int>(ms) + 1;
-}
-
-Deadline Deadline::min(const Deadline& other) const {
-  if (never()) return other;
-  if (other.never()) return *this;
-  return at_ <= other.at_ ? *this : other;
-}
-
-namespace {
-
-/// Poll `fd` for `events` until the deadline; Ok = ready.
-IoStatus wait_ready(int fd, short events, const Deadline& deadline) {
+IoStatus wait_ready(int fd, short events, const util::Deadline& deadline) {
   for (;;) {
     pollfd pfd{fd, events, 0};
     const int rc = ::poll(&pfd, 1, deadline.poll_ms());
@@ -55,9 +22,7 @@ IoStatus wait_ready(int fd, short events, const Deadline& deadline) {
   }
 }
 
-}  // namespace
-
-IoStatus write_all(int fd, std::string_view data, const Deadline& deadline) {
+IoStatus write_all(int fd, std::string_view data, const util::Deadline& deadline) {
   while (!data.empty()) {
     const IoStatus ready = wait_ready(fd, POLLOUT, deadline);
     if (ready != IoStatus::Ok) return ready;
@@ -71,7 +36,7 @@ IoStatus write_all(int fd, std::string_view data, const Deadline& deadline) {
   return IoStatus::Ok;
 }
 
-IoStatus read_chunk(int fd, std::string* buf, const Deadline& deadline) {
+IoStatus read_chunk(int fd, std::string* buf, const util::Deadline& deadline) {
   for (;;) {
     const IoStatus ready = wait_ready(fd, POLLIN, deadline);
     if (ready != IoStatus::Ok) return ready;

@@ -6,41 +6,13 @@
 
 namespace mps::net {
 
-const char* session_state_name(SessionState s) {
-  switch (s) {
-    case SessionState::Connecting: return "connecting";
-    case SessionState::Handshake: return "handshake";
-    case SessionState::Streaming: return "streaming";
-    case SessionState::Draining: return "draining";
-    case SessionState::Closed: return "closed";
-  }
-  return "?";
-}
-
 Session::Session(int fd, const SessionLimits& limits) : fd_(fd), limits_(limits) {
   MPS_ASSERT(fd >= 0);
 }
 
-Session::~Session() { close(); }
+Session::~Session() { ::close(fd_); }
 
-void Session::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  state_ = SessionState::Closed;
-}
-
-void Session::advance(SessionState next) {
-  // Forward-only: the enum order is the machine's order.
-  if (static_cast<int>(next) > static_cast<int>(state_)) state_ = next;
-}
-
-bool Session::has_buffered_line() const {
-  return buffer_.find('\n') != std::string::npos;
-}
-
-Session::Read Session::read_line(std::string* line, const Deadline& idle) {
+Session::Read Session::read_line(std::string* line, const util::Deadline& idle) {
   MPS_ASSERT(line != nullptr);
   for (;;) {
     const std::size_t nl = buffer_.find('\n');
@@ -57,20 +29,20 @@ Session::Read Session::read_line(std::string* line, const Deadline& idle) {
       buffer_.erase(0, nl + 1);
       if (!line->empty() && line->back() == '\r') line->pop_back();
       frame_in_progress_ = !buffer_.empty();
-      if (frame_in_progress_) frame_deadline_ = Deadline::after(limits_.frame_timeout_s);
+      if (frame_in_progress_) frame_deadline_ = util::Deadline::after(limits_.frame_timeout_s);
       return Read::Line;
     }
 
     // No complete frame buffered: wait for bytes.  A frame already under way
     // runs against its frame deadline; otherwise only the caller's idle
     // budget applies.
-    Deadline wait = idle;
+    util::Deadline wait = idle;
     if (frame_in_progress_) wait = wait.min(frame_deadline_);
     switch (read_chunk(fd_, &buffer_, wait)) {
       case IoStatus::Ok:
         if (!frame_in_progress_ && !buffer_.empty()) {
           frame_in_progress_ = true;
-          frame_deadline_ = Deadline::after(limits_.frame_timeout_s);
+          frame_deadline_ = util::Deadline::after(limits_.frame_timeout_s);
         }
         break;  // loop: maybe a full frame now
       case IoStatus::Eof:
@@ -84,12 +56,12 @@ Session::Read Session::read_line(std::string* line, const Deadline& idle) {
   }
 }
 
-IoStatus Session::write_line(std::string_view line) {
+IoStatus Session::write_line(std::string_view line, const util::Deadline& deadline) {
   std::string framed;
   framed.reserve(line.size() + 1);
   framed.append(line);
   framed.push_back('\n');
-  return write_all(fd_, framed, Deadline::after(limits_.write_timeout_s));
+  return write_all(fd_, framed, deadline.min(util::Deadline::after(limits_.write_timeout_s)));
 }
 
 }  // namespace mps::net

@@ -77,7 +77,11 @@ class Cdcl {
 
   Outcome run(Model* model, SolveStats* stats) {
     util::Timer timer;
-    Outcome outcome = trivially_unsat_ ? Outcome::Unsat : search(timer);
+    // The solve's one stop condition: its own time limit or the caller's
+    // shared deadline, whichever comes first.
+    const util::Deadline stop =
+        util::Deadline::after(opts_.time_limit_s).min(opts_.deadline);
+    Outcome outcome = trivially_unsat_ ? Outcome::Unsat : search(stop);
     if (outcome == Outcome::Sat && model != nullptr) {
       shrink_model_toward_false();
       model->assign(cnf_.num_vars(), false);
@@ -423,7 +427,7 @@ class Cdcl {
     }
   }
 
-  Outcome search(const util::Timer& timer) {
+  Outcome search(const util::Deadline& stop) {
     std::int64_t restart_budget =
         opts_.restart_interval > 0 ? opts_.restart_interval * luby(0) : 0;
     std::int64_t conflicts_since_restart = 0;
@@ -439,7 +443,7 @@ class Cdcl {
         if (opts_.max_backtracks >= 0 && conflicts_ > opts_.max_backtracks) {
           return Outcome::Limit;
         }
-        if ((conflicts_ & 255) == 0 && should_stop(opts_, timer)) return Outcome::Limit;
+        if ((conflicts_ & 255) == 0 && stop.expired()) return Outcome::Limit;
 
         int blevel = 0;
         std::uint32_t lbd = 0;
@@ -459,7 +463,7 @@ class Cdcl {
         var_inc_ *= (1.0 / 0.95);  // EVSIDS: decay by inflating the increment
         continue;
       }
-      if ((decisions_ & 127) == 0 && should_stop(opts_, timer)) return Outcome::Limit;
+      if ((decisions_ & 127) == 0 && stop.expired()) return Outcome::Limit;
       // Restart / clause-DB reduction only at quiescence: reduce_db() needs
       // the level-0 assignment closed under propagation to restore the watch
       // invariant during the arena rebuild.

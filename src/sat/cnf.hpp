@@ -48,8 +48,6 @@ class Cnf {
   void add_clause(std::initializer_list<Lit> lits) { add_clause(std::vector<Lit>(lits)); }
   /// Convenience: unit clause.
   void add_unit(Lit l) { add_clause({l}); }
-  /// Convenience: binary implication a -> b, i.e. clause (~a ∨ b).
-  void add_implies(Lit a, Lit b) { add_clause({~a, b}); }
 
   std::size_t num_vars() const { return num_vars_; }
   std::size_t num_clauses() const { return clauses_.size(); }

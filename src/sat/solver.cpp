@@ -73,7 +73,11 @@ class Dpll {
 
   Outcome run(Model* model, SolveStats* stats) {
     util::Timer timer;
-    Outcome outcome = trivially_unsat_ ? Outcome::Unsat : search(timer);
+    // The solve's one stop condition: its own time limit or the caller's
+    // shared deadline, whichever comes first.
+    const util::Deadline stop =
+        util::Deadline::after(opts_.time_limit_s).min(opts_.deadline);
+    Outcome outcome = trivially_unsat_ ? Outcome::Unsat : search(stop);
     if (outcome == Outcome::Sat && model != nullptr) {
       model->assign(cnf_.num_vars(), false);
       for (Var v = 0; v < cnf_.num_vars(); ++v) (*model)[v] = assign_[v] == 1;
@@ -253,7 +257,7 @@ class Dpll {
     }
   }
 
-  Outcome search(const util::Timer& timer) {
+  Outcome search(const util::Deadline& stop) {
     struct Decision {
       Lit lit;
       std::size_t trail_size;  // trail length *before* the decision
@@ -275,7 +279,7 @@ class Dpll {
         if (opts_.max_backtracks >= 0 && backtracks_ > opts_.max_backtracks) {
           return Outcome::Limit;
         }
-        if ((backtracks_ & 255) == 0 && should_stop(opts_, timer)) return Outcome::Limit;
+        if ((backtracks_ & 255) == 0 && stop.expired()) return Outcome::Limit;
         if (opts_.restart_interval > 0 && backtracks_since_restart >= restart_budget) {
           // Geometric restart: forget decisions, keep activities.  The
           // doubling saturates — an unbounded run used to overflow int64
@@ -305,7 +309,7 @@ class Dpll {
       // Conflicts are not the only progress marker: a propagation-heavy
       // instance can run for a long time with almost no backtracks, so the
       // stop conditions are also polled on a decision counter.
-      if ((decisions_ & 127) == 0 && should_stop(opts_, timer)) return Outcome::Limit;
+      if ((decisions_ & 127) == 0 && stop.expired()) return Outcome::Limit;
       const Lit branch = pick_branch();
       if (!branch.valid()) return Outcome::Sat;  // total assignment, all clauses satisfied
       ++decisions_;

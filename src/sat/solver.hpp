@@ -17,7 +17,6 @@
 //     every Table-1 LIMIT row; see DESIGN.md "CDCL engine".
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -54,10 +53,10 @@ struct SolveOptions {
   /// both decisions and conflicts, so propagation-heavy runs with few
   /// backtracks still honor it.
   double time_limit_s = 0.0;
-  /// Absolute wall-clock cutoff shared by a group of solves (e.g. all
-  /// modules of one synthesis round); default-constructed = none.  Combines
-  /// with time_limit_s: whichever fires first wins.
-  std::chrono::steady_clock::time_point deadline{};
+  /// Cutoff shared by a group of solves (e.g. every solve of one request);
+  /// default = none.  Each solve folds time_limit_s into it when it starts:
+  /// whichever fires first wins.
+  util::Deadline deadline{};
   /// Restart the search (keeping variable activities) after this many
   /// conflicts; 0 disables restarts.  The DPLL engine doubles the budget
   /// after every restart (geometric, saturating at int64 max); the CDCL
@@ -78,21 +77,6 @@ struct SolveOptions {
   /// Test-only observability for the determinism regression tests.
   std::vector<Lit>* decision_log = nullptr;
 };
-
-/// True once `deadline` is set (not default-constructed) and has passed.
-/// The synthesis flows check it before each round or insertion.
-inline bool deadline_passed(std::chrono::steady_clock::time_point deadline) {
-  return deadline != std::chrono::steady_clock::time_point{} &&
-         std::chrono::steady_clock::now() >= deadline;
-}
-
-/// The engines' one external stop check, polled periodically (not on
-/// every decision): the relative time limit, measured by `timer`, or the
-/// shared deadline has passed.
-inline bool should_stop(const SolveOptions& opts, const util::Timer& timer) {
-  if (opts.time_limit_s > 0 && timer.seconds() > opts.time_limit_s) return true;
-  return deadline_passed(opts.deadline);
-}
 
 /// Search statistics of one solve() call.  Also the payload of the
 /// "sat.solve" span every solve records into obs:: — the trace/stats output

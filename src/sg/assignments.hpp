@@ -79,15 +79,6 @@ class Assignments {
   /// True if some signal separates the pair (stable complementary values).
   bool separates_pair(StateId a, StateId b) const;
 
-  /// Excited direction of signal k in state s: Up -> n+ excited,
-  /// Down -> n- excited, else not excited.
-  std::optional<bool> excited_rise(std::size_t k, StateId s) const {
-    const V4 v = signals_[k].values[s];
-    if (v == V4::Up) return true;
-    if (v == V4::Down) return false;
-    return std::nullopt;
-  }
-
   /// Every edge of `g` must carry an allowed value pair for every signal.
   /// Returns the first offending (signal, from, to) or nullopt if coherent.
   struct Incoherence {

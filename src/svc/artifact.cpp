@@ -1,7 +1,5 @@
 #include "svc/artifact.hpp"
 
-#include <chrono>
-
 #include "netlist/netlist.hpp"
 #include "netlist/verilog.hpp"
 #include "obs/obs.hpp"
@@ -49,13 +47,6 @@ std::string modular_fingerprint(const core::SynthesisOptions& m) {
                       "derive_logic=%d",
                       m.sat.max_new_signals, m.build.max_states, m.build.require_safe ? 1 : 0,
                       m.max_rounds, m.derive_logic ? 1 : 0);
-}
-
-std::chrono::steady_clock::time_point request_deadline(const RequestOptions& opts) {
-  if (opts.deadline_s <= 0) return {};
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(opts.deadline_s));
 }
 
 Json string_array(const std::vector<std::string>& v) {
@@ -178,21 +169,21 @@ Artifact run_synthesis(const stg::Stg& spec, const RequestOptions& opts,
   a.name = spec.name();
   a.method = opts.method;
 
-  const sg::StateGraph g = sg::StateGraph::from_stg(spec);
-  const auto deadline = request_deadline(opts);
-
+  // Each method builds its state graph from the spec; the modular method
+  // with its own BuildOptions (part of the fingerprint).
+  const util::Deadline deadline = util::Deadline::after(opts.deadline_s);
   if (opts.method == "modular") {
     core::SynthesisOptions mopts = opts.modular;
     mopts.sat.solve.deadline = deadline;
-    take_result(core::modular_synthesis(g, mopts), &a, report);
+    take_result(core::modular_synthesis(spec, mopts), &a, report);
   } else if (opts.method == "direct") {
     baseline::DirectOptions vopts = opts.direct;
     vopts.solve.deadline = deadline;
-    take_result(baseline::direct_synthesis(g, vopts), &a, report);
+    take_result(baseline::direct_synthesis(spec, vopts), &a, report);
   } else if (opts.method == "lavagno") {
     baseline::LavagnoOptions lopts = opts.lavagno;
     lopts.solve.deadline = deadline;
-    take_result(baseline::lavagno_synthesis(g, lopts), &a, report);
+    take_result(baseline::lavagno_synthesis(spec, lopts), &a, report);
   } else {
     throw util::Error("unknown synthesis method: " + opts.method);
   }

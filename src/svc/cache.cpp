@@ -8,7 +8,6 @@
 #include <limits>
 #include <sstream>
 
-#include "obs/obs.hpp"
 #include "util/common.hpp"
 #include "util/parse.hpp"
 #include "util/text.hpp"
@@ -82,7 +81,6 @@ std::optional<std::string> Cache::get(const std::string& digest) {
   const auto it = index_.find(digest);
   if (it != index_.end()) {
     ++stats_.mem_hits;
-    obs::counter_add("svc.cache.hit.mem", 1);
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->second;
   }
@@ -95,18 +93,15 @@ std::optional<std::string> Cache::get(const std::string& digest) {
       auto payload = decode_entry(digest, ss.str());
       if (payload.has_value()) {
         ++stats_.disk_hits;
-        obs::counter_add("svc.cache.hit.disk", 1);
         touch_locked(digest, *payload);
         return payload;
       }
       // Corrupt / truncated / foreign: drop it and fall through to a miss.
       ++stats_.corrupt;
-      obs::counter_add("svc.cache.corrupt", 1);
       ::unlink(path.c_str());
     }
   }
   ++stats_.misses;
-  obs::counter_add("svc.cache.miss", 1);
   return std::nullopt;
 }
 
@@ -114,7 +109,6 @@ void Cache::put(const std::string& digest, const std::string& payload) {
   MPS_ASSERT(is_hex_digest(digest));
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.puts;
-  obs::counter_add("svc.cache.put", 1);
   touch_locked(digest, payload);
   const std::string path = entry_path(digest);
   if (path.empty()) return;

@@ -50,7 +50,7 @@ class Cache {
   explicit Cache(const CacheOptions& opts = {});
 
   /// Payload for `digest`, or nullopt.  A disk hit is promoted into the
-  /// memory tier.  Bumps the matching obs:: svc.cache.* counter.
+  /// memory tier.  Counted in CacheStats.
   std::optional<std::string> get(const std::string& digest);
 
   /// Store `payload` under `digest` in both tiers.  Overwrites an existing

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <thread>
 
-#include <unistd.h>
-
-#include "net/io.hpp"
 #include "svc/service.hpp"  // kProtocolVersion
 #include "util/common.hpp"
 #include "util/text.hpp"
@@ -26,66 +24,35 @@ void Client::connect() {
   const int attempts = opts_.connect_attempts < 1 ? 1 : opts_.connect_attempts;
   double backoff = opts_.backoff_s;
   std::string last_error;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  int fd = -1;
+  for (int attempt = 0; attempt < attempts && fd < 0; ++attempt) {
     if (attempt > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
       backoff = std::min(backoff * 2.0, opts_.backoff_max_s);
     }
     try {
-      fd_ = net::connect_to(endpoint_, opts_.connect_timeout_s);
-      break;
+      fd = net::connect_to(endpoint_, util::Deadline::after(opts_.connect_timeout_s));
     } catch (const util::Error& e) {
       last_error = e.what();
-      fd_ = -1;
     }
   }
-  if (fd_ < 0) {
+  if (fd < 0) {
     throw util::Error(util::format("svc: connect(%s) failed after %d attempt(s): %s",
                                    endpoint_.str().c_str(), attempts, last_error.c_str()));
   }
-  if (opts_.handshake) {
-    try {
-      version();
-    } catch (...) {
-      ::close(fd_);
-      fd_ = -1;
-      throw;
-    }
-  }
-}
-
-Client::~Client() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Client::Client(Client&& other) noexcept
-    : endpoint_(std::move(other.endpoint_)),
-      opts_(other.opts_),
-      fd_(other.fd_),
-      buffer_(std::move(other.buffer_)) {
-  other.fd_ = -1;
-}
-
-Client& Client::operator=(Client&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    endpoint_ = std::move(other.endpoint_);
-    opts_ = other.opts_;
-    fd_ = other.fd_;
-    buffer_ = std::move(other.buffer_);
-    other.fd_ = -1;
-  }
-  return *this;
+  // Responses have no size cap and no frame timeout: the request deadline
+  // is the only budget.
+  session_ = std::make_unique<net::Session>(
+      fd, net::SessionLimits{.max_line_bytes = std::numeric_limits<std::size_t>::max()});
+  if (opts_.handshake) version();
 }
 
 Json Client::request(const Json& req, double timeout_s) {
-  MPS_ASSERT(fd_ >= 0);  // request on closed client
+  MPS_ASSERT(session_ != nullptr);  // request on a moved-from client
   const double budget = timeout_s > 0 ? timeout_s : opts_.io_timeout_s;
-  const net::Deadline deadline = net::Deadline::after(budget);
+  const util::Deadline deadline = util::Deadline::after(budget);
 
-  std::string line = req.dump();
-  line.push_back('\n');
-  switch (net::write_all(fd_, line, deadline)) {
+  switch (session_->write_line(req.dump(), deadline)) {
     case net::IoStatus::Ok:
       break;
     case net::IoStatus::Timeout:
@@ -96,26 +63,19 @@ Json Client::request(const Json& req, double timeout_s) {
                                      std::strerror(errno)));
   }
 
-  for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string response = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
+  std::string response;
+  switch (session_->read_line(&response, deadline)) {
+    case net::Session::Read::Line:
       return Json::parse(response);
-    }
-    switch (net::read_chunk(fd_, &buffer_, deadline)) {
-      case net::IoStatus::Ok:
-        break;
-      case net::IoStatus::Eof:
-        throw util::Error("svc: connection closed by daemon before response");
-      case net::IoStatus::Timeout:
-        throw util::Error(util::format("svc: no response from %s after %.1f s",
-                                       endpoint_.str().c_str(), budget));
-      case net::IoStatus::Error:
-        throw util::Error(
-            util::format("svc: recv from %s failed: %s", endpoint_.str().c_str(),
-                         std::strerror(errno)));
-    }
+    case net::Session::Read::Eof:
+      throw util::Error("svc: connection closed by daemon before response");
+    case net::Session::Read::Idle:
+      throw util::Error(util::format("svc: no response from %s after %.1f s",
+                                     endpoint_.str().c_str(), budget));
+    default:  // Error; Oversized and FrameTimeout cannot occur without limits
+      throw util::Error(
+          util::format("svc: recv from %s failed: %s", endpoint_.str().c_str(),
+                       std::strerror(errno)));
   }
 }
 

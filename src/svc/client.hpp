@@ -5,13 +5,16 @@
 //
 // Robustness: connect honours a timeout and retries with bounded
 // exponential backoff (a daemon that is restarting is not an instant
-// failure); request() honours a per-request read timeout so a hung or dead
-// peer throws instead of blocking recv forever.
+// failure); request() runs its send and its response wait under one
+// per-request deadline, so a hung or dead peer throws instead of blocking
+// forever.  Framing is the server's: one net::Session per connection.
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "net/endpoint.hpp"
+#include "net/session.hpp"
 #include "svc/json.hpp"
 
 namespace mps::svc {
@@ -40,12 +43,6 @@ class Client {
   /// handshake version mismatch.
   explicit Client(const std::string& target, const ClientOptions& opts = {});
   explicit Client(const net::Endpoint& endpoint, const ClientOptions& opts = {});
-  ~Client();
-
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-  Client(Client&& other) noexcept;
-  Client& operator=(Client&& other) noexcept;
 
   /// Send one request and block for its response line.  Throws util::Error
   /// on I/O failure, EOF (daemon gone), or the io timeout; protocol-level
@@ -72,8 +69,7 @@ class Client {
 
   net::Endpoint endpoint_;
   ClientOptions opts_;
-  int fd_ = -1;
-  std::string buffer_;  ///< bytes read past the last response line
+  std::unique_ptr<net::Session> session_;
 };
 
 }  // namespace mps::svc

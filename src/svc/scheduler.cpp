@@ -51,12 +51,10 @@ std::pair<Scheduler::Admit, Scheduler::Ticket> Scheduler::submit(const std::stri
   std::lock_guard<std::mutex> lock(mutex_);
   if (const auto it = inflight_.find(key); it != inflight_.end()) {
     ++stats_.joined;
-    obs::counter_add("svc.singleflight.joined", 1);
     return {Admit::Joined, Ticket(it->second)};
   }
   if (draining_ || queue_.size() >= opts_.queue_cap) {
     ++stats_.rejected;
-    obs::counter_add("svc.queue.rejected", 1);
     return {Admit::Overloaded, Ticket()};
   }
   auto job = std::make_shared<Ticket::Job>();
@@ -66,7 +64,6 @@ std::pair<Scheduler::Admit, Scheduler::Ticket> Scheduler::submit(const std::stri
   inflight_[key] = job;
   ++stats_.submitted;
   stats_.queue_depth = static_cast<std::int64_t>(queue_.size());
-  obs::counter_add("svc.queue.submitted", 1);
   work_cv_.notify_one();
   return {Admit::Started, Ticket(std::move(job))};
 }

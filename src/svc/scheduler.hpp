@@ -9,16 +9,16 @@
 // Single-flight deduplication: jobs are keyed (by the request digest).  If
 // a submit's key matches a job already queued or running, no new job is
 // created — the caller joins the existing one and all waiters receive the
-// same result when it completes (Admit::Joined; counted by the
-// svc.singleflight.joined obs counter).  N identical concurrent requests
-// cost one synthesis.
+// same result when it completes (Admit::Joined; counted in
+// SchedulerStats::joined).  N identical concurrent requests cost one
+// synthesis.
 //
 // Execution: `num_threads` dedicated workers pop jobs FIFO.  Each job's
-// work closure typically runs core::modular_synthesis, which parallelizes
-// its module loop on its own util::ThreadPool — this queue sits *in front*
-// of that pool; see DESIGN.md §10.  Per-request deadlines are the work
-// closure's business (svc::run_synthesis maps them onto
-// sat::SolveOptions::deadline via SynthesisOptions::deadline).
+// work closure typically runs svc::run_synthesis, whose module loop is
+// serial: the workers are the daemon's only parallelism; see DESIGN.md
+// §10.  Per-request deadlines are the work closure's business
+// (svc::run_synthesis turns deadline_s into one util::Deadline on the
+// method's sat::SolveOptions::deadline).
 //
 // Drain: drain() stops admission (further submits are rejected) but runs
 // every already-admitted job to completion, so no accepted request ever

@@ -41,8 +41,8 @@ Server::~Server() {
     g_signal_server = nullptr;
     g_signal_wake_fd = -1;
   }
-  for (auto& t : connections_) {
-    if (t.joinable()) t.join();
+  for (Connection& c : connections_) {
+    if (c.thread.joinable()) c.thread.join();
   }
   if (endpoint_.kind == net::Endpoint::Kind::Unix && !endpoint_.path.empty()) {
     ::unlink(endpoint_.path.c_str());
@@ -51,13 +51,7 @@ Server::~Server() {
 
 void Server::start() {
   MPS_ASSERT(listen_fd_ < 0);  // Server::start called twice
-  if (!opts_.socket_path.empty()) {
-    endpoint_ = net::Endpoint::parse("unix:" + opts_.socket_path);
-  } else if (!opts_.listen.empty()) {
-    endpoint_ = net::Endpoint::parse(opts_.listen);
-  } else {
-    throw util::Error("svc: no listen endpoint (set socket_path or listen)");
-  }
+  endpoint_ = net::Endpoint::parse(opts_.listen);  // throws on an empty listen
 
   if (::pipe(wake_pipe_) != 0) {
     throw util::Error(util::format("svc: pipe: %s", std::strerror(errno)));
@@ -113,14 +107,17 @@ void Server::run() {
         if (errno == EINTR || errno == ECONNABORTED) continue;
         throw util::Error(util::format("svc: accept: %s", std::strerror(errno)));
       }
-      obs::counter_add("svc.server.connections", 1);
       obs::counter_add("net.accepted", 1);
+      reap_finished_connections();
       const net::SessionLimits limits{opts_.max_line_bytes, opts_.frame_timeout_s,
                                       opts_.write_timeout_s};
-      std::lock_guard<std::mutex> lock(threads_mutex_);
-      connections_.emplace_back([this, conn, limits] {
-        net::Session session(conn, limits);  // closes the fd when the thread ends
-        connection_loop(session);
+      Connection& c = connections_.emplace_back();
+      c.thread = std::thread([this, conn, limits, &c] {
+        {
+          net::Session session(conn, limits);  // closes the fd at scope end
+          connection_loop(session);
+        }
+        c.finished.store(true);
       });
     }
   }
@@ -130,16 +127,20 @@ void Server::run() {
   // admitted jobs, so blocked waiters get their responses).
   ::close(listen_fd_);
   listen_fd_ = -1;
-  for (;;) {
-    std::vector<std::thread> batch;
-    {
-      std::lock_guard<std::mutex> lock(threads_mutex_);
-      batch.swap(connections_);
-    }
-    if (batch.empty()) break;
-    for (auto& t : batch) t.join();
-  }
+  for (Connection& c : connections_) c.thread.join();
+  connections_.clear();
   service_.drain();
+}
+
+void Server::reap_finished_connections() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->finished.load()) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void Server::connection_loop(net::Session& session) {
@@ -151,9 +152,6 @@ void Server::connection_loop(net::Session& session) {
     obs::counter_add("net.requests", 1);
     const std::string response = service_.handle_line(line);
     if (session.write_line(response) != net::IoStatus::Ok) return false;
-    // First answered request completes the handshake (explicit version op
-    // or the PR-5 implicit form — see net/session.hpp).
-    session.advance(net::SessionState::Streaming);
     if (service_.drain_requested()) request_drain();
     return true;
   };
@@ -163,7 +161,7 @@ void Server::connection_loop(net::Session& session) {
     std::string line;
     // Short idle slices so the thread notices a drain triggered elsewhere
     // (signal, another connection's drain request).
-    switch (session.read_line(&line, net::Deadline::after(0.2))) {
+    switch (session.read_line(&line, util::Deadline::after(0.2))) {
       case net::Session::Read::Line:
         open = handle(line);
         break;
@@ -191,9 +189,8 @@ void Server::connection_loop(net::Session& session) {
     if (open && draining_.load()) {
       // Final scoop: answer any requests whose lines already arrived, then
       // close.  New data after this point is the client's race to lose.
-      session.advance(net::SessionState::Draining);
       for (;;) {
-        const auto st = session.read_line(&line, net::Deadline::after(0.001));
+        const auto st = session.read_line(&line, util::Deadline::after(0.001));
         if (st == net::Session::Read::Line) {
           if (!handle(line)) break;
           continue;

@@ -4,9 +4,10 @@
 // are one code path — the transports differ only in listen_on/connect_to.
 //
 // One accept loop (poll on the listen socket plus a self-pipe wake fd), one
-// thread per connection running a net::Session (handshake -> streaming ->
-// draining state machine, NDJSON framing, frame-size cap, per-session
-// timeouts).  POSIX sockets only, no framework.
+// thread per connection running a net::Session (NDJSON framing, frame-size
+// cap, per-session timeouts).  The accept loop joins the threads of
+// finished connections as it goes, so a long-lived daemon holds only its
+// live connections' stacks.  POSIX sockets only, no framework.
 //
 // Graceful drain (SIGTERM, or a {"op":"drain"} request):
 //   1. stop accepting — the listen socket closes immediately;
@@ -21,10 +22,9 @@
 #pragma once
 
 #include <atomic>
-#include <mutex>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "net/endpoint.hpp"
 #include "net/session.hpp"
@@ -33,11 +33,9 @@
 namespace mps::svc {
 
 struct ServerOptions {
-  /// AF_UNIX transport: the socket path (kept as its own field for the
-  /// PR-5 call sites; wins over `listen` when both are set).
-  std::string socket_path;
-  /// Any net::Endpoint text — "host:port" for TCP, a path for AF_UNIX.
-  /// TCP port 0 binds a kernel-assigned port; see bound_endpoint().
+  /// Any net::Endpoint text — "host:port" for TCP, a path or "unix:PATH"
+  /// for AF_UNIX.  TCP port 0 binds a kernel-assigned port; see
+  /// bound_endpoint().
   std::string listen;
   /// listen(2) backlog (was hardcoded 64 before PR 8).
   int backlog = 64;
@@ -78,12 +76,20 @@ class Server {
   void install_signal_handlers();
 
   Service& service() { return service_; }
-  const std::string& socket_path() const { return opts_.socket_path; }
   /// The endpoint actually bound (TCP port 0 resolved); valid after start().
   const net::Endpoint& bound_endpoint() const { return bound_; }
 
  private:
+  /// One connection's thread; `finished` is set as the thread's last act,
+  /// so the accept loop can join it without blocking.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+
   void connection_loop(net::Session& session);
+  /// Join and drop every connection whose thread has finished.
+  void reap_finished_connections();
 
   ServerOptions opts_;
   Service service_;
@@ -92,8 +98,8 @@ class Server {
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   std::atomic<bool> draining_{false};
-  std::mutex threads_mutex_;
-  std::vector<std::thread> connections_;
+  /// Owned by the thread in run(); list nodes stay put for `finished`.
+  std::list<Connection> connections_;
 };
 
 }  // namespace mps::svc

@@ -1,6 +1,5 @@
 #include "svc/service.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <optional>
 
@@ -56,9 +55,8 @@ std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* er
         "synth", "bad_request", "unknown engine: '" + engine_str + "' (expected dpll|cdcl)");
     return std::nullopt;
   }
-  // Range-check the numbers before they reach a clock: a deadline past the
-  // clock's range must be a bad request, never a crash, so it gets half the
-  // steady_clock range and now() + deadline cannot overflow.  "threads" is
+  // Range-check the numbers: a deadline_s past util::Deadline::max_seconds()
+  // is a bad request, not a silently unlimited budget.  "threads" is
   // a protocol-v1 field that synthesis does not read; it is still checked
   // so every client keeps getting the same answers.
   const Json* threads = req.find("threads");
@@ -70,12 +68,10 @@ std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* er
   }
   const Json* deadline = req.find("deadline_s");
   const double d = deadline == nullptr ? 0.0 : deadline->is_number() ? deadline->as_double() : -1.0;
-  const double max_deadline_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::duration::max()).count() / 2;
-  if (!(d >= 0 && d <= max_deadline_s)) {
-    *error_line = protocol_error(
-        "synth", "bad_request",
-        util::format("deadline_s must be finite seconds in 0..%.3g", max_deadline_s));
+  if (!(d >= 0 && d <= util::Deadline::max_seconds())) {
+    *error_line = protocol_error("synth", "bad_request",
+                                 util::format("deadline_s must be finite seconds in 0..%.3g",
+                                              util::Deadline::max_seconds()));
     return std::nullopt;
   }
 
@@ -91,11 +87,6 @@ std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* er
   set_engine(&out.options, *engine);
   out.digest = request_digest(out.spec, out.options);
   return out;
-}
-
-std::string error_response(const std::string& op, const std::string& kind,
-                           const std::string& message) {
-  return protocol_error(op, kind, message);
 }
 
 Json scheduler_stats_json(const SchedulerStats& s, std::size_t queue_cap) {
@@ -134,9 +125,9 @@ std::string Service::handle_line(const std::string& line) {
   try {
     req = Json::parse(line);
   } catch (const util::Error& e) {
-    return error_response("", "bad_request", e.what());
+    return protocol_error("", "bad_request", e.what());
   }
-  if (!req.is_object()) return error_response("", "bad_request", "request must be an object");
+  if (!req.is_object()) return protocol_error("", "bad_request", "request must be an object");
   const std::string op = req.get_string("op", "");
 
   try {
@@ -172,9 +163,9 @@ std::string Service::handle_line(const std::string& line) {
       j.set("op", "drain");
       return j.dump();
     }
-    return error_response(op, "bad_request", "unknown op: '" + op + "'");
+    return protocol_error(op, "bad_request", "unknown op: '" + op + "'");
   } catch (const std::exception& e) {
-    return error_response(op, "internal", e.what());
+    return protocol_error(op, "internal", e.what());
   }
 }
 
@@ -194,7 +185,7 @@ std::string Service::handle_synth(const Json& req) {
     try {
       artifact = Json::parse(payload);
     } catch (const util::Error& e) {
-      return error_response("synth", "internal",
+      return protocol_error("synth", "internal",
                             std::string("artifact serialization: ") + e.what());
     }
     if (cached) cached_responses_.fetch_add(1);
@@ -218,11 +209,11 @@ std::string Service::handle_synth(const Json& req) {
     return result;
   });
   if (admit == Scheduler::Admit::Overloaded) {
-    return error_response("synth", "overloaded",
+    return protocol_error("synth", "overloaded",
                           "queue full or draining; retry later");
   }
   const Scheduler::Result& result = ticket.wait();
-  if (!result.ok()) return error_response("synth", "internal", result.error);
+  if (!result.ok()) return protocol_error("synth", "internal", result.error);
   return respond(result.payload, /*cached=*/false);
 }
 
@@ -235,11 +226,8 @@ std::string Service::handle_stats() {
   j.set("synth_requests", Json(synth_requests_.load()));
   j.set("cached_responses", Json(cached_responses_.load()));
   Json counters = Json::object();
-  for (const char* name :
-       {"svc.requests", "svc.cache.hit.mem", "svc.cache.hit.disk", "svc.cache.miss",
-        "svc.cache.put", "svc.queue.submitted", "svc.queue.rejected",
-        "svc.singleflight.joined", "net.accepted", "net.requests", "net.oversized",
-        "net.frame_timeout"}) {
+  for (const char* name : {"svc.requests", "net.accepted", "net.requests", "net.oversized",
+                           "net.frame_timeout"}) {
     counters.set(name, Json(obs::counter_value(name)));
   }
   j.set("counters", std::move(counters));

@@ -11,7 +11,8 @@
 //   {"op":"synth","g":"<.g text>",      -> {"ok":true,"op":"synth","cached":B,
 //    "method":"modular","threads":N,        "digest":"<64 hex>",
 //    "deadline_s":S}                        "artifact":{...}}   (svc::Artifact)
-//   {"op":"stats"}                      -> {"ok":true,"op":"stats",...}
+//   {"op":"stats"}                      -> {"ok":true,"op":"stats","cache":{...},
+//                                           "scheduler":{...},"counters":{...}}
 //   {"op":"drain"}                      -> {"ok":true,"op":"drain"}  + drain flag
 // Error responses: {"ok":false,"op":"<op>","kind":"<k>","error":"<msg>"}
 // with kind in {bad_request, parse, overloaded, internal, version}.  A
@@ -22,7 +23,11 @@
 // response is ok:true with artifact.success=false, mirroring mps_synth's
 // exit-1-with-reason behaviour.
 //
-// The version op is the session handshake (net/session.hpp): a client that
+// The stats "counters" block (svc.requests, net.*) reads obs:: counters,
+// which only record while the obs layer is on: mps_serve turns it on with
+// --trace.  The cache and scheduler blocks count always.
+//
+// The version op is the handshake: a client that
 // cares about compatibility sends it first; a mismatched "protocol" gets
 // kind:"version" back (with the server's version) and should disconnect.
 // Requests without a handshake are served at the current version — the PR-5

@@ -65,6 +65,60 @@ class Timer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// Absolute steady-clock deadline; default-constructed = never expires.
+/// The one budget type from the wire to the solver: socket I/O, connect,
+/// per-request synthesis budgets and SAT solves all take it.
+class Deadline {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// The largest budget after() arms: half the clock's range (~146
+  /// years), so now() + seconds cannot overflow.
+  static constexpr double max_seconds() {
+    return std::chrono::duration<double>(Clock::duration::max()).count() / 2;
+  }
+
+  Deadline() = default;
+  /// A deadline `seconds` from now; <=0, NaN and budgets past max_seconds()
+  /// mean "never".
+  static Deadline after(double seconds) {
+    if (!(seconds > 0 && seconds <= max_seconds())) return {};
+    return at(Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(seconds)));
+  }
+  /// A deadline at `t` (tests use it for an already-expired deadline).
+  static Deadline at(Clock::time_point t) {
+    Deadline d;
+    d.armed_ = true;
+    d.at_ = t;
+    return d;
+  }
+
+  bool never() const { return !armed_; }
+  /// Reads the clock only when armed.
+  bool expired() const { return armed_ && Clock::now() >= at_; }
+  /// Milliseconds until expiry for poll(): -1 when never, >=0 otherwise
+  /// (0 when already expired).
+  int poll_ms() const {
+    if (!armed_) return -1;
+    const auto left = at_ - Clock::now();
+    if (left <= Clock::duration::zero()) return 0;
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(left).count();
+    // Round up so a 0.4 ms remainder polls 1 ms instead of busy-spinning at 0.
+    return static_cast<int>(ms) + 1;
+  }
+  /// The earlier of this deadline and `other`.
+  Deadline min(const Deadline& other) const {
+    if (never()) return other;
+    if (other.never()) return *this;
+    return at_ <= other.at_ ? *this : other;
+  }
+
+ private:
+  bool armed_ = false;
+  Clock::time_point at_{};
+};
+
 /// Deterministic 64-bit PRNG (xoshiro256**): identical streams on every
 /// platform, unlike std::mt19937_64 + distributions.
 class Rng {

@@ -1,12 +1,15 @@
 # End-to-end protocol check for the mps_serve daemon (expects -DSERVE,
 # -DCLIENT, -DSYNTH pointing at the three binaries and -DOUT_DIR).
 #
-# Drives the full service lifecycle twice:
-#   1. boot -> ping -> synth two benchmarks via mps_client -> byte-compare
-#      every Verilog/PLA artifact against a local mps_synth run of the same
-#      .g files -> warm-cache synth -> stats sanity -> in-band drain, and
-#      assert the daemon exits 0;
-#   2. boot again -> ping -> SIGTERM, and assert the graceful-drain exit 0.
+# Drives the service lifecycle three times:
+#   1. Unix socket (--socket): boot -> ping -> synth two benchmarks via
+#      mps_client -> byte-compare every Verilog/PLA artifact against a
+#      local mps_synth run of the same .g files -> warm-cache synth ->
+#      stats sanity -> in-band drain, and assert the daemon exits 0;
+#   2. boot again -> ping -> SIGTERM, and assert the graceful-drain exit 0;
+#   3. TCP (--listen 127.0.0.1:0, port read from the "listening on" line,
+#      mps_client --connect): ping -> one synth byte-compared the same way
+#      -> in-band drain, exit 0.
 # The client's stdout must equal mps_synth's up to the timing field (the
 # daemon reports the cold run's seconds; everything else is identical).
 set(work ${OUT_DIR}/protocol_check)
@@ -68,6 +71,27 @@ for i in $(seq 1 100); do [ -S $SOCK ] && break; sleep 0.1; done
 kill -TERM $PID2
 wait $PID2
 grep -q 'drained, exiting' serve2.log
+
+# Round 3: TCP on a kernel-assigned port, no cache.
+"$SERVE" --listen 127.0.0.1:0 > serve3.log 2>&1 &
+PID3=$!
+ADDR=
+for i in $(seq 1 100); do
+  ADDR=$(sed -n 's/^mps_serve: listening on \([^ ]*\) .*/\1/p' serve3.log)
+  [ -n "$ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "TCP daemon never reported its port"; cat serve3.log; exit 1; }
+"$CLIENT" --connect $ADDR ping | grep -q '"ok":true'
+mkdir -p tcp/atod
+"$CLIENT" --connect $ADDR synth atod.g --out-verilog tcp/atod.v --out-pla tcp/atod/ > tcp_atod.out
+diff ref/atod.v tcp/atod.v
+diff -r ref/atod tcp/atod
+norm tcp_atod.out > tcp_atod.norm
+diff ref_atod.norm tcp_atod.norm
+"$CLIENT" --connect $ADDR drain | grep -q '"ok":true'
+wait $PID3
+grep -q 'drained, exiting' serve3.log
 echo PROTOCOL_OK
 ]=]
   WORKING_DIRECTORY ${work}

@@ -1,8 +1,8 @@
 // Unit tests for the network layer (src/net/): endpoint parsing and
-// ephemeral-port binding, the NDJSON session state machine over real
-// socketpairs, and the wire protocol failure modes over real TCP sockets
-// (malformed frames, oversized frames, truncated frames, version handshake
-// mismatch, client timeouts, bounded reconnect).
+// ephemeral-port binding, NDJSON session framing over real socketpairs,
+// and the wire protocol failure modes over real TCP sockets (malformed
+// frames, oversized frames, truncated frames, version handshake mismatch,
+// client timeouts, bounded reconnect).
 //
 // Port-collision safety: every TCP test binds 127.0.0.1:0 and reads the
 // kernel-assigned port back via net::bound_endpoint(), so the suite is safe
@@ -24,7 +24,7 @@
 namespace {
 
 using namespace mps;
-using net::Deadline;
+using util::Deadline;
 using net::Endpoint;
 using net::Session;
 using net::SessionLimits;
@@ -100,7 +100,7 @@ TEST(NetEndpoint, EphemeralPortsAreDistinctAndResolved) {
 }
 
 // ---------------------------------------------------------------------------
-// Session state machine (over socketpairs: no ports, no races)
+// Session framing (over socketpairs: no ports, no races)
 
 struct SessionPair {
   SessionPair(const SessionLimits& limits) {
@@ -129,7 +129,6 @@ TEST(NetSession, ReadsFramesAndStripsLineEndings) {
   std::string line;
   EXPECT_EQ(p.session->read_line(&line, Deadline::after(5.0)), Session::Read::Line);
   EXPECT_EQ(line, "first") << "CRLF must be stripped";
-  EXPECT_TRUE(p.session->has_buffered_line());
   EXPECT_EQ(p.session->read_line(&line, Deadline::after(5.0)), Session::Read::Line);
   EXPECT_EQ(line, "second");
 }
@@ -179,18 +178,6 @@ TEST(NetSession, IdleWhenNoFrameInProgress) {
   std::string line;
   EXPECT_EQ(p.session->read_line(&line, Deadline::after(0.05)), Session::Read::Idle)
       << "silence with no frame under way is idleness, not a timeout error";
-}
-
-TEST(NetSession, StateMachineIsForwardOnly) {
-  SessionPair p({});
-  EXPECT_EQ(p.session->state(), net::SessionState::Handshake);
-  p.session->advance(net::SessionState::Streaming);
-  EXPECT_EQ(p.session->state(), net::SessionState::Streaming);
-  p.session->advance(net::SessionState::Handshake);  // backwards: ignored
-  EXPECT_EQ(p.session->state(), net::SessionState::Streaming);
-  p.session->advance(net::SessionState::Draining);
-  EXPECT_EQ(p.session->state(), net::SessionState::Draining);
-  EXPECT_STREQ(net::session_state_name(p.session->state()), "draining");
 }
 
 TEST(NetSession, WriteLineAppendsNewline) {
@@ -249,7 +236,7 @@ TEST(NetProtocol, VersionHandshakeAcceptsAndRejects) {
 
   // A mismatched version gets kind:"version" plus the server's version, so
   // the client can say what it wanted vs what the server speaks.
-  const int fd = net::connect_to(ts.server.bound_endpoint(), 5.0);
+  const int fd = net::connect_to(ts.server.bound_endpoint(), Deadline::after(5.0));
   ASSERT_GE(fd, 0);
   const std::string resp = raw_roundtrip(fd, "{\"op\":\"version\",\"protocol\":99}");
   const svc::Json j = svc::Json::parse(resp);
@@ -261,7 +248,7 @@ TEST(NetProtocol, VersionHandshakeAcceptsAndRejects) {
 
 TEST(NetProtocol, MalformedFrameAnswersErrorAndKeepsConnection) {
   TcpServer ts({});
-  const int fd = net::connect_to(ts.server.bound_endpoint(), 5.0);
+  const int fd = net::connect_to(ts.server.bound_endpoint(), Deadline::after(5.0));
   ASSERT_GE(fd, 0);
   const std::string resp = raw_roundtrip(fd, "this is not json");
   const svc::Json j = svc::Json::parse(resp);
@@ -279,7 +266,7 @@ TEST(NetProtocol, OversizedFrameIsRejectedWithJsonErrorThenClosed) {
   svc::ServerOptions opts;
   opts.max_line_bytes = 1024;
   TcpServer ts(opts);
-  const int fd = net::connect_to(ts.server.bound_endpoint(), 5.0);
+  const int fd = net::connect_to(ts.server.bound_endpoint(), Deadline::after(5.0));
   ASSERT_GE(fd, 0);
   const std::string resp = raw_roundtrip(fd, std::string(4096, 'x'));
   const svc::Json j = svc::Json::parse(resp);
@@ -301,7 +288,7 @@ TEST(NetProtocol, TruncatedFrameDoesNotWedgeTheServer) {
   TcpServer ts({});
   {
     // Connect, send half a frame, vanish.
-    const int fd = net::connect_to(ts.server.bound_endpoint(), 5.0);
+    const int fd = net::connect_to(ts.server.bound_endpoint(), Deadline::after(5.0));
     ASSERT_GE(fd, 0);
     ASSERT_EQ(net::write_all(fd, "{\"op\":\"pi", Deadline::after(5.0)), net::IoStatus::Ok);
     ::close(fd);
@@ -353,7 +340,7 @@ TEST(NetProtocol, ConnectRetriesAreBoundedAndReported) {
 
 TEST(NetProtocol, ServerCountsNetTraffic) {
   // Counters only record while the obs layer is on (mps_serve enables it
-  // under --stats-json; tests enable it explicitly).
+  // under --trace; tests enable it explicitly).
   obs::set_enabled(true);
   TcpServer ts({});
   svc::Client client(ts.address());

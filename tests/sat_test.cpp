@@ -309,9 +309,11 @@ TEST(Solver, PropagationHeavyInstanceIsSatWithoutLimits) {
 
 TEST(Solver, DeadlineStopsSearch) {
   SolveOptions opts;
-  opts.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  opts.deadline = mps::util::Deadline::at(std::chrono::steady_clock::now() -
+                                          std::chrono::seconds(1));
   EXPECT_EQ(Solver().solve(pigeonhole(8, 7), nullptr, nullptr, opts), Outcome::Limit);
-  opts.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+  opts.deadline =
+      mps::util::Deadline::at(std::chrono::steady_clock::now() + std::chrono::hours(1));
   EXPECT_EQ(Solver().solve(pigeonhole(4, 3), nullptr, nullptr, opts), Outcome::Unsat);
 }
 
@@ -508,9 +510,11 @@ TEST(Cdcl, TimeLimitHonoredWithoutConflicts) {
 
 TEST(Cdcl, DeadlineStopsSearch) {
   SolveOptions opts = cdcl_opts();
-  opts.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  opts.deadline = mps::util::Deadline::at(std::chrono::steady_clock::now() -
+                                          std::chrono::seconds(1));
   EXPECT_EQ(Solver().solve(pigeonhole(8, 7), nullptr, nullptr, opts), Outcome::Limit);
-  opts.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+  opts.deadline =
+      mps::util::Deadline::at(std::chrono::steady_clock::now() + std::chrono::hours(1));
   EXPECT_EQ(Solver().solve(pigeonhole(4, 3), nullptr, nullptr, opts), Outcome::Unsat);
 }
 

@@ -10,11 +10,14 @@
 //     one synthesis;
 //   - a full queue yields an immediate, clean `overloaded` error — not a
 //     hang and not a dropped connection;
-//   - an in-band {"op":"drain"} shuts the server down cleanly.
+//   - an in-band {"op":"drain"} shuts the server down cleanly;
+//   - finished connection threads are joined while the server runs, so a
+//     long-lived daemon does not keep every old connection's stack.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,7 +60,7 @@ TEST(SvcSoak, ConcurrentIdenticalRequestsCollapseAndAgree) {
   std::filesystem::remove_all(cache_dir);
 
   svc::ServerOptions opts;
-  opts.socket_path = socket;
+  opts.listen = "unix:" + socket;
   opts.service.cache.dir = cache_dir;
   opts.service.sched.num_threads = 2;
   opts.service.sched.queue_cap = 32;
@@ -122,7 +125,7 @@ TEST(SvcSoak, ConcurrentIdenticalRequestsCollapseAndAgree) {
 TEST(SvcSoak, QueueOverflowAnswersOverloadedImmediately) {
   const std::string socket = temp_socket_path("ovfl");
   svc::ServerOptions opts;
-  opts.socket_path = socket;
+  opts.listen = "unix:" + socket;
   opts.service.sched.num_threads = 1;
   opts.service.sched.queue_cap = 1;
   svc::Server server(opts);
@@ -170,6 +173,65 @@ TEST(SvcSoak, QueueOverflowAnswersOverloadedImmediately) {
   EXPECT_NE(resp_a.find("\"ok\":true"), std::string::npos) << resp_a;
   EXPECT_NE(resp_b.find("\"ok\":true"), std::string::npos) << resp_b;
   EXPECT_EQ(server.service().scheduler().stats().rejected, 1);
+
+  server.request_drain();
+  server_thread.join();
+}
+
+/// Thread stacks this process has mapped, in use or cached: glibc puts one
+/// PROT_NONE guard page below each stack, so count the one-page "---p"
+/// mappings in /proc/self/maps.  -1 when the file cannot be read.
+long thread_stack_count() {
+  std::ifstream in("/proc/self/maps");
+  if (!in) return -1;
+  const unsigned long page = static_cast<unsigned long>(::sysconf(_SC_PAGESIZE));
+  long n = 0;
+  for (std::string line; std::getline(in, line);) {
+    unsigned long lo = 0, hi = 0;
+    char perms[5] = {};
+    if (std::sscanf(line.c_str(), "%lx-%lx %4s", &lo, &hi, perms) == 3 &&
+        std::string(perms) == "---p" && hi - lo == page) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(SvcSoak, FinishedConnectionThreadsAreJoinedBeforeDrain) {
+  // A long-lived daemon must not keep the stack of every connection it ever
+  // served: an unjoined finished thread keeps its whole stack mapped (8 MiB
+  // of VmSize by default).  Joined stacks are unmapped or reused, apart
+  // from the few glibc caches.
+  const std::string socket = temp_socket_path("reap");
+  svc::ServerOptions opts;
+  opts.listen = "unix:" + socket;
+  opts.service.sched.num_threads = 1;
+  svc::Server server(opts);
+  server.start();
+  std::thread server_thread([&] { server.run(); });
+  auto ping_once = [&] {
+    svc::Client client(socket);
+    return client.ping().get_bool("ok", false);
+  };
+  ASSERT_TRUE(ping_once());
+
+  const long before = thread_stack_count();
+  ASSERT_GE(before, 0) << "cannot read /proc/self/maps";
+  constexpr int kConnections = 64;
+  constexpr long kBound = 16;
+  for (int i = 0; i < kConnections; ++i) ASSERT_TRUE(ping_once()) << "connection " << i;
+  // A connection thread ends a moment after its client hangs up, and the
+  // accept loop joins it on the next accept: give the last ones a few
+  // settle rounds.
+  long grown = 0;
+  for (int round = 0; round < 20; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(ping_once());
+    grown = thread_stack_count() - before;
+    if (grown < kBound) break;
+  }
+  EXPECT_LT(grown, kBound) << grown << " more thread stacks mapped after " << kConnections
+                           << " finished connections";
 
   server.request_drain();
   server_thread.join();

@@ -554,6 +554,16 @@ TEST(SvcRunSynthesis, ExpiredDeadlineFailsFast) {
   }
 }
 
+TEST(SvcRunSynthesis, ModularRequestBuildsItsGraphWithItsBuildOptions) {
+  // build.max_states is rendered into the request digest, so the run must
+  // honour it: tiny_spec has 4 states.
+  auto opts = svc::default_request_options("modular");
+  opts.modular.build.max_states = 3;
+  EXPECT_THROW(svc::run_synthesis(tiny_spec(), opts), util::LimitError);
+  opts.modular.build.max_states = 4;
+  EXPECT_TRUE(svc::run_synthesis(tiny_spec(), opts).success);
+}
+
 TEST(SvcRunSynthesis, EveryMethodContractsDummyTransitions) {
   // A handshake with one dummy between a+ and b+: every method must
   // contract the silent edge before encoding, as the modular flow does.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <numeric>
 #include <set>
 #include <string>
@@ -133,6 +135,30 @@ TEST(Rng, UniformIsInUnitInterval) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
+}
+
+TEST(Deadline, NeverAfterAtAndMin) {
+  using mps::util::Deadline;
+  const Deadline never;
+  EXPECT_TRUE(never.never());
+  EXPECT_FALSE(never.expired());
+  EXPECT_EQ(never.poll_ms(), -1);
+  // Non-positive, NaN and out-of-range budgets never expire: the clock
+  // arithmetic must not overflow.
+  for (double s : {0.0, -1.0, std::nan(""), 1e300}) EXPECT_TRUE(Deadline::after(s).never()) << s;
+
+  const Deadline past = Deadline::at(Deadline::Clock::now() - std::chrono::seconds(1));
+  EXPECT_TRUE(past.expired());
+  EXPECT_EQ(past.poll_ms(), 0);
+  const Deadline hour = Deadline::after(3600.0);
+  EXPECT_FALSE(hour.expired());
+  EXPECT_GT(hour.poll_ms(), 0);
+
+  EXPECT_TRUE(never.min(past).expired());
+  EXPECT_TRUE(hour.min(past).expired());
+  EXPECT_TRUE(past.min(hour).expired());
+  EXPECT_FALSE(hour.min(never).expired());
+  EXPECT_TRUE(never.min(never).never());
 }
 
 TEST(Text, SplitWs) {
