@@ -34,6 +34,10 @@ std::vector<std::pair<sg::StateId, sg::StateId>> worst_class_conflicts(
 
 LavagnoResult lavagno_synthesis(const sg::StateGraph& input, const LavagnoOptions& opts) {
   LavagnoResult result;
+  // The one deadline of the run: the overall budget folded into the
+  // caller's cutoff.
+  sat::SolveOptions solve = opts.solve;
+  solve.deadline = util::Deadline::after(opts.time_limit_s).min(opts.solve.deadline);
   // Resolve one code class per round, escalating the signal count for that
   // class until its conflicts are separable — whole-graph encodings
   // throughout, never any decomposition.
@@ -41,8 +45,8 @@ LavagnoResult lavagno_synthesis(const sg::StateGraph& input, const LavagnoOption
                                       int) -> std::optional<sg::Assignments> {
     const auto class_conflicts = worst_class_conflicts(g, csc.conflicts);
     sg::Assignments assigns(g.num_states());
-    for (std::size_t m = 1; m <= opts.max_signals_per_class && assigns.empty(); ++m) {
-      const encoding::Encoding enc(g, m, class_conflicts, csc.compatible_pairs, opts.encode);
+    for (std::size_t m = 1; m <= kMaxSignalsPerClass && assigns.empty(); ++m) {
+      const encoding::Encoding enc(g, m, class_conflicts, csc.compatible_pairs);
       sat::Model model;
       sat::SolveStats sstats;
       sat::Outcome outcome = sat::Outcome::Unsat;
@@ -50,7 +54,7 @@ LavagnoResult lavagno_synthesis(const sg::StateGraph& input, const LavagnoOption
                        {/*seed=*/m, /*max_flips=*/50000, /*max_tries=*/2, /*noise=*/0.5})) {
         outcome = sat::Outcome::Sat;
       } else {
-        outcome = sat::Solver().solve(enc.cnf(), &model, &sstats, opts.solve);
+        outcome = sat::Solver().solve(enc.cnf(), &model, &sstats, solve);
         result.solver_totals.add(sstats);
       }
       if (outcome == sat::Outcome::Limit) result.hit_limit = true;  // note it, keep escalating
@@ -72,10 +76,9 @@ LavagnoResult lavagno_synthesis(const sg::StateGraph& input, const LavagnoOption
   // O(V·E) structural re-check, the expansion itself enforces the
   // invariants.
   core::run_insertion_flow(input,
-                           {.max_rounds = opts.max_insertions,
+                           {.max_rounds = kMaxInsertions,
                             .exhausted_reason = "insertion budget exhausted",
-                            .deadline = opts.solve.deadline,
-                            .time_limit_s = opts.time_limit_s,
+                            .deadline = solve.deadline,
                             .check_consistency = false,
                             .derive_logic = opts.derive_logic,
                             .minimize = opts.minimize},

@@ -6,6 +6,11 @@
 // (whole-graph manipulation per inserted signal, repeated global
 // re-analysis) without its FSM state-minimization machinery — see
 // DESIGN.md's substitution table.
+//
+// Fixed bounds: at most kMaxInsertions rounds, and at most
+// kMaxSignalsPerClass signals tried for one conflict class.  The overall
+// budget `time_limit_s` joins `solve.deadline` once, at entry: every
+// round and every SAT solve sees the same cutoff.
 #pragma once
 
 #include <string>
@@ -17,13 +22,12 @@
 
 namespace mps::baseline {
 
+inline constexpr int kMaxInsertions = 64;
+inline constexpr std::size_t kMaxSignalsPerClass = 4;
+
 struct LavagnoOptions {
   sat::SolveOptions solve;
   logic::MinimizeOptions minimize;
-  encoding::EncodeOptions encode;
-  int max_insertions = 64;
-  /// Signals tried for one conflict class before giving up.
-  std::size_t max_signals_per_class = 4;
   double time_limit_s = 0.0;  ///< overall wall-clock budget; <=0 = unlimited
   bool derive_logic = true;
 };

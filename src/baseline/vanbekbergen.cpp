@@ -10,7 +10,7 @@ DirectResult direct_synthesis(const sg::StateGraph& input, const DirectOptions& 
     result.rounds = r;
     sg::Assignments assigns(g.num_states());
     const sat::Outcome outcome =
-        core::direct_round(g, csc, opts.encode, opts.solve, opts.max_new_signals,
+        core::direct_round(g, csc, encoding::EncodeOptions{}, opts.solve,
                            "csc" + std::to_string(g.num_signals()) + "_", &assigns,
                            &result.formulas);
     if (outcome == sat::Outcome::Sat) return assigns;

@@ -17,11 +17,10 @@
 
 namespace mps::baseline {
 
+/// Each round escalates m up to core::kMaxNewSignals.
 struct DirectOptions {
-  encoding::EncodeOptions encode;
   sat::SolveOptions solve;          ///< set max_backtracks/time_limit_s for Table-1 runs
   logic::MinimizeOptions minimize;
-  std::size_t max_new_signals = 10;
   int max_rounds = 6;
   bool derive_logic = true;
 };

@@ -12,14 +12,19 @@ namespace mps::bdd {
 
 namespace {
 inline constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
-}
+/// The initial signal code is inferred from a bounded explicit walk (a
+/// token-game DFS stopped as soon as every signal's first rise/fall has
+/// been witnessed — typically after a handful of firings).  This caps the
+/// walk; signals still unresolved fall back to the declared initial value,
+/// matching the explicit builder's rule for never-firing signals.
+inline constexpr std::size_t kProbeMaxMarkings = 100'000;
+}  // namespace
 
 SymbolicStg::SymbolicStg(stg::Stg stg, const SymbolicOptions& opts)
     : stg_(std::move(stg)), opts_(opts), mgr_(0) {
   assign_variable_order();
   mgr_ = Manager(2 * num_bits_);
   mgr_.set_max_nodes(opts_.max_nodes);
-  mgr_.set_max_ops(opts_.max_ops);
   infer_initial_code();
 }
 
@@ -121,7 +126,7 @@ void SymbolicStg::infer_initial_code() {
     stack.push_back({stg_.initial_marking(), util::BitVec(stg_.num_signals())});
     visited.insert(stg_.initial_marking());
     std::vector<petri::TransId> enabled;
-    while (!stack.empty() && unresolved > 0 && visited.size() < opts_.probe_max_markings) {
+    while (!stack.empty() && unresolved > 0 && visited.size() < kProbeMaxMarkings) {
       const Item item = std::move(stack.back());
       stack.pop_back();
       net.enabled_transitions(item.m, &enabled);

@@ -38,7 +38,7 @@
 //
 // Error contract mirrors sg::StateGraph::from_stg: util::SemanticsError
 // for unsafe nets and inconsistent state assignments (detected
-// symbolically on the reached set), util::LimitError when a node/op
+// symbolically on the reached set), util::LimitError when the node
 // budget or the iteration cap is exceeded.
 #pragma once
 
@@ -54,19 +54,11 @@ namespace mps::bdd {
 struct SymbolicOptions {
   /// Manager node budget (util::LimitError beyond it); 0 = unlimited.
   std::size_t max_nodes = 0;
-  /// Manager operation budget; 0 = unlimited.
-  std::uint64_t max_ops = 0;
   /// Run mark-and-sweep GC between image iterations once the node table
   /// exceeds this many nodes; 0 disables GC.
   std::size_t gc_node_threshold = 1u << 20;
   /// Cap on image iterations (≥ state-space diameter needed); 0 = none.
   std::size_t max_iterations = 0;
-  /// The initial signal code is inferred from a bounded explicit walk (a
-  /// token-game DFS stopped as soon as every signal's first rise/fall has
-  /// been witnessed — typically after a handful of firings).  This caps the
-  /// walk; signals still unresolved fall back to the declared initial
-  /// value, matching the explicit builder's rule for never-firing signals.
-  std::size_t probe_max_markings = 100'000;
 };
 
 struct CscVerdict {

@@ -34,10 +34,10 @@ bool separates(const encoding::Encoding& enc, const sat::Model& model, sg::State
 
 sat::Outcome direct_round(const sg::StateGraph& g, const sg::CscResult& csc,
                           const encoding::EncodeOptions& encode, const sat::SolveOptions& solve,
-                          std::size_t max_new_signals, const std::string& name_prefix,
-                          sg::Assignments* out, std::vector<FormulaStat>* formulas) {
+                          const std::string& name_prefix, sg::Assignments* out,
+                          std::vector<FormulaStat>* formulas) {
   for (std::size_t m = static_cast<std::size_t>(std::max(1, csc.lower_bound));
-       m <= max_new_signals; ++m) {
+       m <= kMaxNewSignals; ++m) {
     const encoding::Encoding enc(g, m, csc.conflicts, csc.compatible_pairs, encode);
     sat::Model model;
     formulas->push_back(solve_formula(enc.cnf(), m, solve, &model));
@@ -75,11 +75,8 @@ sat::Outcome separability_certificate(const ModuleGraph& module, const Partition
                                       std::vector<FormulaStat>* formulas) {
   obs::Span span("synth.certificate");
   // Pinning i to 0 and j to 1 covers the (1, 0) orientation too: every
-  // per-signal clause is invariant under 0<->1, Up<->Down.  Full USC would
-  // add separation clauses, so the base never enforces it.
-  encoding::EncodeOptions encode = opts.encode;
-  encode.enforce_usc = false;
-  const encoding::Encoding base(module.proj.graph, 1, {}, {}, encode);
+  // per-signal clause is invariant under 0<->1, Up<->Down.
+  const encoding::Encoding base(module.proj.graph, 1, {}, {}, opts.encode);
   const auto& pairs = module.conflicts;
   std::vector<bool> separated(pairs.size(), false);
   const std::size_t first = formulas->size();
@@ -119,7 +116,7 @@ PartitionSatResult partition_sat(const ModuleGraph& module, const std::string& n
   // (likely unsatisfiable) instance.  Before the first escalation, the
   // separability certificate stops it when no m can succeed.
   const std::size_t lowest = static_cast<std::size_t>(std::max(1, module.lower_bound));
-  for (std::size_t m = lowest; m <= opts.max_new_signals; ++m) {
+  for (std::size_t m = lowest; m <= kMaxNewSignals; ++m) {
     const encoding::Encoding enc(module.proj.graph, m, module.conflicts,
                                  module.compatible_pairs, opts.encode);
     sat::Model model;
@@ -129,7 +126,7 @@ PartitionSatResult partition_sat(const ModuleGraph& module, const std::string& n
       result.success = true;
       return result;
     }
-    if (m == lowest && m < opts.max_new_signals &&
+    if (m == lowest && m < kMaxNewSignals &&
         separability_certificate(module, opts, &result.formulas) == sat::Outcome::Unsat) {
       result.refuted = true;
       return result;

@@ -27,6 +27,10 @@ struct FormulaStat : sat::SolveStats {
   bool certificate = false;
 };
 
+/// The largest state-signal count one formula asks for: Figure 4's
+/// escalation, the modular rescue and the direct baseline all stop here.
+inline constexpr std::size_t kMaxNewSignals = 10;
+
 struct PartitionSatOptions {
   encoding::EncodeOptions encode;
   /// Module formulas are tiny, but a formula at too small an m can still be
@@ -34,19 +38,18 @@ struct PartitionSatOptions {
   /// stalling the flow (Figure 4 then escalates m, and the rescue path
   /// finishes the job on the complete graph if every m fails).
   sat::SolveOptions solve{.max_backtracks = 150'000, .time_limit_s = 5.0};
-  std::size_t max_new_signals = 10;
 };
 
 /// One direct round on a complete graph (Vanbekbergen et al. [22]; also
 /// the modular flow's rescue): encode the conflicts `csc` of `g` for
 /// m = max(1, lower bound) new signals, adding a signal on Unsat up to
-/// `max_new_signals`.  Stops at the first Sat, decoded into `*out` with
+/// kMaxNewSignals.  Stops at the first Sat, decoded into `*out` with
 /// `name_prefix`, or Limit, and returns that outcome (Unsat when the bound
 /// ran out).  Appends one FormulaStat per formula to `*formulas`.
 sat::Outcome direct_round(const sg::StateGraph& g, const sg::CscResult& csc,
                           const encoding::EncodeOptions& encode, const sat::SolveOptions& solve,
-                          std::size_t max_new_signals, const std::string& name_prefix,
-                          sg::Assignments* out, std::vector<FormulaStat>* formulas);
+                          const std::string& name_prefix, sg::Assignments* out,
+                          std::vector<FormulaStat>* formulas);
 
 /// Decode `model` and append each new signal that is not constant to `*out`:
 /// a constant signal separates nothing (the signal-count bound overshot).

@@ -19,8 +19,8 @@ sat::Outcome rescue_direct(const sg::StateGraph& g, const sg::CscResult& csc,
                            std::vector<FormulaStat>* formulas) {
   obs::Span span("synth.rescue");
   sg::Assignments fresh(g.num_states());
-  const sat::Outcome outcome = direct_round(g, csc, opts.encode, opts.solve,
-                                            opts.max_new_signals, "rescue", &fresh, formulas);
+  const sat::Outcome outcome =
+      direct_round(g, csc, opts.encode, opts.solve, "rescue", &fresh, formulas);
   for (std::size_t k = 0; k < fresh.num_signals(); ++k) {
     assigns->add_signal("csc" + std::to_string(g.num_signals() + assigns->num_signals()),
                         std::vector<sg::V4>(fresh.values(k)));
@@ -89,22 +89,14 @@ void run_insertion_flow(const sg::StateGraph& input, const FlowSettings& setting
   bool clean = false;
   bool stopped = false;
   for (int r = 1;; ++r) {
-    // Clocks first: an already-expired request must fail fast even when
-    // the spec happens to be conflict-free (the service layer relies on
-    // this to bound per-request work).
-    if (r <= settings.max_rounds) {
-      const char* tripped = nullptr;
-      if (settings.deadline.expired()) {
-        tripped = "deadline exceeded";
-      } else if (settings.time_limit_s > 0 && timer.seconds() > settings.time_limit_s) {
-        tripped = "time limit";
-      }
-      if (tripped != nullptr) {
-        result->failure_reason = tripped;
-        result->hit_limit = true;
-        stopped = true;
-        break;
-      }
+    // The deadline first: an already-expired request must fail fast even
+    // when the spec happens to be conflict-free (the service layer relies
+    // on this to bound per-request work).
+    if (r <= settings.max_rounds && settings.deadline.expired()) {
+      result->failure_reason = "deadline exceeded";
+      result->hit_limit = true;
+      stopped = true;
+      break;
     }
     const sg::CscResult csc = sg::analyze_csc(g);
     clean = csc.satisfied();

@@ -103,10 +103,9 @@ struct FlowSettings {
   /// `exhausted_reason`, unless a round already recorded a reason.
   int max_rounds = 0;
   std::string exhausted_reason;
-  /// Checked before each round: a round that would start past either one
-  /// stops the run ("deadline exceeded" / "time limit").
+  /// Checked before each round: a round that would start past it stops
+  /// the run with "deadline exceeded".
   util::Deadline deadline{};
-  double time_limit_s = 0.0;  ///< whole run, wall clock; <=0 = none
   bool check_consistency = true;  ///< sg::expand's structural re-check
   bool derive_logic = true;
   logic::MinimizeOptions minimize;

@@ -1,7 +1,5 @@
 #include "encoding/csc_sat.hpp"
 
-#include <algorithm>
-
 #include "sg/csc.hpp"
 #include "util/common.hpp"
 
@@ -20,8 +18,8 @@ constexpr V4 kAll[] = {V4::Zero, V4::One, V4::Up, V4::Down};
 }  // namespace
 
 Encoding::Encoding(const sg::StateGraph& g, std::size_t num_new_signals,
-                   std::vector<std::pair<sg::StateId, sg::StateId>> conflicts,
-                   std::vector<std::pair<sg::StateId, sg::StateId>> compatible_pairs,
+                   const std::vector<std::pair<sg::StateId, sg::StateId>>& conflicts,
+                   const std::vector<std::pair<sg::StateId, sg::StateId>>& compatible_pairs,
                    const EncodeOptions& opts)
     : num_states_(g.num_states()), m_(num_new_signals), opts_(opts) {
   MPS_ASSERT(m_ >= 1);
@@ -29,20 +27,7 @@ Encoding::Encoding(const sg::StateGraph& g, std::size_t num_new_signals,
   encode_edge_coherence(g);
   encode_diamond_semimodularity(g);
   encode_compatibility(compatible_pairs);
-  std::vector<std::pair<sg::StateId, sg::StateId>> pairs = std::move(conflicts);
-  if (opts_.enforce_usc) {
-    // Full unique state coding: separate every code-equal pair.
-    for (const auto& cls : sg::code_classes(g)) {
-      for (std::size_t i = 0; i < cls.size(); ++i) {
-        for (std::size_t j = i + 1; j < cls.size(); ++j) {
-          pairs.emplace_back(cls[i], cls[j]);
-        }
-      }
-    }
-    std::sort(pairs.begin(), pairs.end());
-    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  }
-  encode_separation(pairs);
+  encode_separation(conflicts);
 }
 
 void Encoding::encode_edge_coherence(const sg::StateGraph& g) {

@@ -49,9 +49,6 @@ struct EncodeOptions {
   /// Largest m for which separation constraints use the naive c^m
   /// expansion; beyond this, Tseitin auxiliaries are introduced.
   std::size_t naive_max_m = 3;
-  /// Also separate non-conflicting code-equal pairs (full USC) — used by
-  /// the formula-size model bench; off in the synthesis flow.
-  bool enforce_usc = false;
 };
 
 class Encoding {
@@ -61,8 +58,8 @@ class Encoding {
   /// the new signals must not turn them into fresh conflicts (6 forbidden
   /// value pairs, the N_usc·c3^m term).
   Encoding(const sg::StateGraph& g, std::size_t num_new_signals,
-           std::vector<std::pair<sg::StateId, sg::StateId>> conflicts,
-           std::vector<std::pair<sg::StateId, sg::StateId>> compatible_pairs = {},
+           const std::vector<std::pair<sg::StateId, sg::StateId>>& conflicts,
+           const std::vector<std::pair<sg::StateId, sg::StateId>>& compatible_pairs = {},
            const EncodeOptions& opts = {});
 
   const sat::Cnf& cnf() const { return cnf_; }

@@ -150,8 +150,8 @@ Netlist build_netlist(const sg::StateGraph& g,
 
     // kStandardC: set/reset SOP networks feeding a C latch.
     auto [set_spec, reset_spec] = extract_set_reset(g, s);
-    const logic::Cover set_cover = logic::minimize(set_spec, opts.minimize);
-    const logic::Cover reset_cover = logic::minimize(reset_spec, opts.minimize);
+    const logic::Cover set_cover = logic::minimize(set_spec);
+    const logic::Cover reset_cover = logic::minimize(reset_spec);
     WireId sr[2];
     const logic::Cover* fns[2] = {&set_cover, &reset_cover};
     const char* prefix[2] = {"set_", "reset_"};

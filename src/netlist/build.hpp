@@ -29,10 +29,6 @@ enum class Mapping { kComplexGate, kStandardC };
 
 struct BuildNetlistOptions {
   Mapping mapping = Mapping::kComplexGate;
-  /// Minimizer configuration for the set/reset covers the kStandardC
-  /// mapping derives from the graph (kComplexGate reuses the synthesis
-  /// covers as-is).
-  logic::MinimizeOptions minimize;
 };
 
 /// Build a netlist for the (final, CSC-satisfying) graph `g`.  `covers`

@@ -40,9 +40,8 @@ struct KeyHash {
 
 class Search {
  public:
-  Search(const Netlist& n, const sg::StateGraph& spec, const SiOptions& opts,
-         SiResult* result)
-      : n_(n), spec_(spec), opts_(opts), r_(*result) {}
+  Search(const Netlist& n, const sg::StateGraph& spec, SiResult* result)
+      : n_(n), spec_(spec), r_(*result) {}
 
   bool bind() {
     wire_of_sig_.assign(spec_.num_signals(), kNoWire);
@@ -151,7 +150,7 @@ class Search {
       if (h == fired || !from_excited.test(h) || to_excited.test(h)) continue;
       const WireId w = n_.gate(h).out;
       const sg::SignalId o = sig_of_wire_[w];
-      if (opts_.allow_spec_disabling && o != stg::kNoSignal) {
+      if (o != stg::kNoSignal) {
         // Sanctioned iff the spec itself performs this disabling: o was
         // enabled (in the gate's pending direction) at `from.q` and is no
         // longer at `to.q`.
@@ -207,7 +206,7 @@ class Search {
 
       const util::BitVec exc = excited(key.wires);
 
-      if (opts_.check_quiescence && exc.count() == 0) {
+      if (exc.count() == 0) {
         for (const sg::Edge& e : spec_.out(key.q)) {
           if (!spec_.is_input(e.sig)) {
             r_.quiescence_ok = false;
@@ -275,9 +274,9 @@ class Search {
                std::deque<std::size_t>* frontier) {
     const auto [it, inserted] = index_.emplace(next, states_.size());
     if (!inserted) return true;
-    if (states_.size() >= opts_.max_states) {
+    if (states_.size() >= kSiMaxStates) {
       r_.issues.push_back(util::format("composed state space exceeds the %zu-state budget",
-                                       opts_.max_states));
+                                       kSiMaxStates));
       return false;  // complete stays false
     }
     states_.push_back(std::move(next));
@@ -288,7 +287,6 @@ class Search {
 
   const Netlist& n_;
   const sg::StateGraph& spec_;
-  const SiOptions& opts_;
   SiResult& r_;
 
   std::vector<WireId> wire_of_sig_;
@@ -302,12 +300,11 @@ class Search {
 
 }  // namespace
 
-SiResult verify_speed_independence(const Netlist& n, const sg::StateGraph& spec,
-                                   const SiOptions& opts) {
+SiResult verify_speed_independence(const Netlist& n, const sg::StateGraph& spec) {
   obs::Span span("netlist.verify_si");
   SiResult result;
   n.check();
-  Search search(n, spec, opts, &result);
+  Search search(n, spec, &result);
   if (search.bind()) {
     result.bound = result.conforms = result.hazard_free = result.quiescence_ok = true;
     search.run();

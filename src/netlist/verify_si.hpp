@@ -13,15 +13,18 @@
 //   * hazard-freedom — gate-level semi-modularity: no gate that is excited
 //     (its evaluated function differs from its output wire) becomes
 //     unexcited through the firing of anything else.  Disablings the
-//     *specification itself* performs (environment/output choice — the
-//     `allow_input_choice` convention of sg::semi_modularity_violations)
-//     are sanctioned when `allow_spec_disabling` is set: the verifier
-//     localizes hazards *introduced by the gate implementation*;
+//     *specification itself* performs (environment/output choice, as
+//     sg::semi_modularity_violations lets inputs disable inputs) are
+//     sanctioned: the verifier localizes hazards *introduced by the gate
+//     implementation*;
 //   * quiescence — no composed state is circuit-quiescent while the spec
 //     still requires an output transition.
 //
-// On failure the result carries a counterexample: the transition trace
-// from the initial state to the violation.
+// All three checks always run.  The search explores at most kSiMaxStates
+// composed states; beyond that the result is incomplete (never a silent
+// pass on a truncated search).  On failure the result carries a
+// counterexample: the transition trace from the initial state to the
+// violation.
 #pragma once
 
 #include <cstddef>
@@ -33,23 +36,15 @@
 
 namespace mps::netlist {
 
-struct SiOptions {
-  /// Composed-state budget; exceeding it fails the check (never silently
-  /// passes on a truncated search).
-  std::size_t max_states = 1u << 20;
-  /// Sanction gate disablings that mirror a disabling the spec itself
-  /// performs on that signal (environment / output choice).
-  bool allow_spec_disabling = true;
-  /// Flag circuit-quiescent states where the spec still expects outputs.
-  bool check_quiescence = true;
-};
+/// Composed-state budget of one verification.
+inline constexpr std::size_t kSiMaxStates = 1u << 20;
 
 struct SiResult {
   bool bound = false;         ///< every spec signal maps onto a wire correctly
   bool conforms = false;      ///< no unspecified output transition
   bool hazard_free = false;   ///< gate-level semi-modularity
   bool quiescence_ok = false; ///< no premature quiescence
-  bool complete = false;      ///< search finished within max_states
+  bool complete = false;      ///< search finished within kSiMaxStates
   std::size_t states_explored = 0;
   std::vector<std::string> issues;
   /// Transition labels from the initial composed state to the first
@@ -62,7 +57,6 @@ struct SiResult {
 
 /// Verify `n` against `spec` (a final, silent-edge-free state graph).
 /// Wires are bound to spec signals by sanitize_name()d name.
-SiResult verify_speed_independence(const Netlist& n, const sg::StateGraph& spec,
-                                   const SiOptions& opts = {});
+SiResult verify_speed_independence(const Netlist& n, const sg::StateGraph& spec);
 
 }  // namespace mps::netlist

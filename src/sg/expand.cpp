@@ -121,8 +121,7 @@ Expansion expand(const StateGraph& g, const Assignments& assigns, bool check_con
   return result;
 }
 
-std::vector<std::pair<StateId, SignalId>> semi_modularity_violations(const StateGraph& g,
-                                                                     bool allow_input_choice) {
+std::vector<std::pair<StateId, SignalId>> semi_modularity_violations(const StateGraph& g) {
   std::vector<std::pair<StateId, SignalId>> bad;
   for (StateId s = 0; s < g.num_states(); ++s) {
     for (const Edge& fired : g.out(s)) {
@@ -131,7 +130,7 @@ std::vector<std::pair<StateId, SignalId>> semi_modularity_violations(const State
       // direction) in fired.to.
       for (const Edge& other : g.out(s)) {
         if (other.is_silent() || other.sig == fired.sig) continue;
-        if (allow_input_choice && g.is_input(other.sig) && g.is_input(fired.sig)) continue;
+        if (g.is_input(other.sig) && g.is_input(fired.sig)) continue;
         if (!g.excited_dir(fired.to, other.sig, other.rise)) {
           bad.emplace_back(fired.to, other.sig);
         }

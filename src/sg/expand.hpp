@@ -32,10 +32,9 @@ Expansion expand(const StateGraph& g, const Assignments& assigns,
 
 /// Semi-modularity (§2): no enabled non-input transition is disabled by the
 /// firing of another transition.  Input signals may be disabled by other
-/// *inputs* (environment choice) without violating speed independence;
-/// `allow_input_choice` controls whether such pairs are ignored.
-/// Returns the offending (state, disabled signal) pairs (empty = OK).
-std::vector<std::pair<StateId, SignalId>> semi_modularity_violations(
-    const StateGraph& g, bool allow_input_choice = true);
+/// *inputs* (environment choice) without violating speed independence, so
+/// such pairs are ignored.  Returns the offending (state, disabled signal)
+/// pairs (empty = OK).
+std::vector<std::pair<StateId, SignalId>> semi_modularity_violations(const StateGraph& g);
 
 }  // namespace mps::sg

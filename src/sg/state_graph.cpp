@@ -191,13 +191,12 @@ std::vector<util::BitVec> infer_codes(const stg::Stg& stg,
 StateGraph StateGraph::from_stg(const stg::Stg& stg, const BuildOptions& opts) {
   petri::ReachabilityOptions ropts;
   ropts.max_markings = opts.max_states;
-  ropts.max_tokens_per_place = opts.require_safe ? 1 : 255;
   const auto reach = petri::reachability(stg.net(), stg.initial_marking(), ropts);
   if (!reach.complete) {
     throw util::LimitError("state graph of '" + stg.name() + "' exceeds " +
                            std::to_string(opts.max_states) + " states");
   }
-  if (opts.require_safe && !reach.safe) {
+  if (!reach.safe) {
     throw util::SemanticsError("STG '" + stg.name() + "' is not safe (a place holds >1 token)");
   }
 
@@ -247,7 +246,7 @@ StateGraph StateGraph::from_stg(const stg::Stg& stg, const BuildOptions& opts) {
     g.add_edge(e.from, edge);
   }
 
-  if (opts.check_consistency) g.check_consistency();
+  g.check_consistency();
   return g;
 }
 

@@ -44,13 +44,6 @@ struct SignalInfo {
 
 struct BuildOptions {
   std::size_t max_states = 1u << 20;
-  /// Require a safe net (every reachable marking 0/1 tokens per place).
-  bool require_safe = true;
-  /// Run the full O(V·E) structural self-check on the freshly built graph.
-  /// The default keeps checking; inner-loop callers that rebuild graphs
-  /// repeatedly (baseline re-expansion) may turn it off — construction
-  /// itself guarantees the invariants, the check is defense in depth.
-  bool check_consistency = true;
 };
 
 class StateGraph {
@@ -64,11 +57,13 @@ class StateGraph {
     }
   }
 
-  /// Exhaustive reachability + consistent-code inference (§2).  Throws
-  /// util::SemanticsError if the STG admits no consistent state assignment
-  /// (e.g. a+ enabled in a state where a is already 1), util::LimitError on
-  /// state explosion beyond opts.max_states.  Dummy/ε transitions are kept
-  /// as silent edges; see sg::contract_silent() to remove them.
+  /// Exhaustive reachability + consistent-code inference (§2), followed by
+  /// the structural self-check.  Throws util::SemanticsError if the net is
+  /// unsafe (a place holds >1 token) or the STG admits no consistent state
+  /// assignment (e.g. a+ enabled in a state where a is already 1),
+  /// util::LimitError on state explosion beyond opts.max_states.  Dummy/ε
+  /// transitions are kept as silent edges; see sg::contract_silent() to
+  /// remove them.
   static StateGraph from_stg(const stg::Stg& stg, const BuildOptions& opts = {});
 
   // --- signals ---------------------------------------------------------

@@ -19,10 +19,6 @@ Builder& Builder::outputs(std::initializer_list<const char*> names) {
   for (const char* n : names) signals_.emplace_back(n, SignalKind::Output);
   return *this;
 }
-Builder& Builder::internals(std::initializer_list<const char*> names) {
-  for (const char* n : names) signals_.emplace_back(n, SignalKind::Internal);
-  return *this;
-}
 Builder& Builder::dummies(std::initializer_list<const char*> names) {
   for (const char* n : names) signals_.emplace_back(n, SignalKind::Dummy);
   return *this;

@@ -27,7 +27,6 @@ class Builder {
 
   Builder& inputs(std::initializer_list<const char*> names);
   Builder& outputs(std::initializer_list<const char*> names);
-  Builder& internals(std::initializer_list<const char*> names);
   Builder& dummies(std::initializer_list<const char*> names);
 
   Builder& input(const std::string& name);

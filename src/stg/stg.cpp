@@ -29,22 +29,6 @@ SignalId Stg::find_signal(std::string_view name) const {
   return kNoSignal;
 }
 
-std::vector<SignalId> Stg::non_input_signals() const {
-  std::vector<SignalId> out;
-  for (SignalId s = 0; s < signals_.size(); ++s) {
-    if (is_non_input(s)) out.push_back(s);
-  }
-  return out;
-}
-
-std::vector<SignalId> Stg::output_signals() const {
-  std::vector<SignalId> out;
-  for (SignalId s = 0; s < signals_.size(); ++s) {
-    if (signals_[s].kind == SignalKind::Output) out.push_back(s);
-  }
-  return out;
-}
-
 petri::TransId Stg::add_transition(const Label& label, int instance) {
   MPS_ASSERT(label.sig == kNoSignal || label.sig < signals_.size());
   std::string name = "t" + std::to_string(net_.num_transitions());

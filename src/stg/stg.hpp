@@ -66,10 +66,6 @@ class Stg {
   /// Lookup by name; returns kNoSignal if absent.
   SignalId find_signal(std::string_view name) const;
 
-  /// All non-input signal ids in id order.
-  std::vector<SignalId> non_input_signals() const;
-  std::vector<SignalId> output_signals() const;
-
   // --- transitions ------------------------------------------------------
   /// Add a labelled net transition.  `instance` distinguishes repeated
   /// transitions of the same signal edge (a+/1, a+/2 in .g syntax).

@@ -24,8 +24,8 @@ std::string solve_fingerprint(const sat::SolveOptions& s) {
 }
 
 std::string encode_fingerprint(const encoding::EncodeOptions& e) {
-  return util::format("input_properness=%d;naive_max_m=%zu;enforce_usc=%d",
-                      e.input_properness ? 1 : 0, e.naive_max_m, e.enforce_usc ? 1 : 0);
+  return util::format("input_properness=%d;naive_max_m=%zu", e.input_properness ? 1 : 0,
+                      e.naive_max_m);
 }
 
 std::string minimize_fingerprint(const logic::MinimizeOptions& m) {
@@ -43,9 +43,7 @@ std::string minimize_fingerprint(const logic::MinimizeOptions& m) {
 std::string modular_fingerprint(const core::SynthesisOptions& m) {
   return "core-v5;" + encode_fingerprint(m.sat.encode) + ";" + solve_fingerprint(m.sat.solve) +
          ";" + minimize_fingerprint(m.minimize) + ";" +
-         util::format("max_new_signals=%zu;max_states=%zu;require_safe=%d;max_rounds=%d;"
-                      "derive_logic=%d",
-                      m.sat.max_new_signals, m.build.max_states, m.build.require_safe ? 1 : 0,
+         util::format("max_states=%zu;max_rounds=%d;derive_logic=%d", m.build.max_states,
                       m.max_rounds, m.derive_logic ? 1 : 0);
 }
 
@@ -132,18 +130,13 @@ std::string request_fingerprint(const RequestOptions& opts) {
     fp += modular_fingerprint(opts.modular);
   } else if (opts.method == "direct") {
     const auto& d = opts.direct;
-    fp += "direct-v3;" + encode_fingerprint(d.encode) + ";" + solve_fingerprint(d.solve) +
-          ";" + minimize_fingerprint(d.minimize) + ";" +
-          util::format("max_new_signals=%zu;max_rounds=%d;derive_logic=%d",
-                       d.max_new_signals, d.max_rounds, d.derive_logic ? 1 : 0);
+    fp += "direct-v3;" + solve_fingerprint(d.solve) + ";" + minimize_fingerprint(d.minimize) +
+          ";" + util::format("max_rounds=%d;derive_logic=%d", d.max_rounds, d.derive_logic ? 1 : 0);
   } else if (opts.method == "lavagno") {
     const auto& l = opts.lavagno;
-    fp += "lavagno-v2;" + solve_fingerprint(l.solve) + ";" + minimize_fingerprint(l.minimize) +
-          ";" + encode_fingerprint(l.encode) + ";" +
-          util::format("max_insertions=%d;max_signals_per_class=%zu;time_limit_s=%.17g;"
-                       "derive_logic=%d",
-                       l.max_insertions, l.max_signals_per_class, l.time_limit_s,
-                       l.derive_logic ? 1 : 0);
+    fp += "lavagno-v3;" + solve_fingerprint(l.solve) + ";" + minimize_fingerprint(l.minimize) +
+          ";" + util::format("time_limit_s=%.17g;derive_logic=%d", l.time_limit_s,
+                             l.derive_logic ? 1 : 0);
   } else {
     throw util::Error("unknown synthesis method: " + opts.method);
   }
@@ -241,17 +234,25 @@ std::optional<Artifact> Artifact::deserialize(const std::string& text) {
   }
   if (!j.is_object() || j.get_int("artifact_version", -1) != kVersion) return std::nullopt;
 
+  // Counts are sizes: a negative one marks a corrupt artifact.
+  bool negative = false;
+  const auto count = [&](std::string_view key) {
+    const std::int64_t v = j.get_int(key, 0);
+    negative |= v < 0;
+    return static_cast<std::size_t>(v);
+  };
+
   Artifact a;
   a.name = j.get_string("name", "");
   a.method = j.get_string("method", "");
   a.success = j.get_bool("success", false);
   a.hit_limit = j.get_bool("hit_limit", false);
   a.failure_reason = j.get_string("failure_reason", "");
-  a.initial_states = static_cast<std::size_t>(j.get_int("initial_states", 0));
-  a.initial_signals = static_cast<std::size_t>(j.get_int("initial_signals", 0));
-  a.final_states = static_cast<std::size_t>(j.get_int("final_states", 0));
-  a.final_signals = static_cast<std::size_t>(j.get_int("final_signals", 0));
-  a.literals = static_cast<std::size_t>(j.get_int("literals", 0));
+  a.initial_states = count("initial_states");
+  a.initial_signals = count("initial_signals");
+  a.final_states = count("final_states");
+  a.final_signals = count("final_signals");
+  a.literals = count("literals");
 
   auto names = parse_string_array(j.find("signal_names"));
   auto inserted = parse_string_array(j.find("inserted_signals"));
@@ -269,12 +270,20 @@ std::optional<Artifact> Artifact::deserialize(const std::string& text) {
     if (!entry.is_object()) return std::nullopt;
     auto cubes = parse_string_array(entry.find("cubes"));
     if (!cubes.has_value()) return std::nullopt;
+    // rebuild_covers() needs one 0/1/- position per signal.
+    for (const std::string& cube : *cubes) {
+      if (cube.size() != a.signal_names.size() ||
+          cube.find_first_not_of("01-") != std::string::npos) {
+        return std::nullopt;
+      }
+    }
     a.covers.emplace_back(entry.get_string("output", ""), std::move(*cubes));
   }
 
   a.verilog = j.get_string("verilog", "");
-  a.gates = static_cast<std::size_t>(j.get_int("gates", 0));
-  a.transistors = static_cast<std::size_t>(j.get_int("transistors", 0));
+  a.gates = count("gates");
+  a.transistors = count("transistors");
+  if (negative) return std::nullopt;
   a.verify_ok = j.get_bool("verify_ok", false);
   if (const Json* solver_obj = j.find("solver"); solver_obj != nullptr) {
     a.solver.decisions = solver_obj->get_int("decisions", 0);

@@ -102,8 +102,10 @@ struct Artifact {
 
   Json to_json() const;
   std::string serialize() const { return to_json().dump(); }
-  /// nullopt on parse failure or version mismatch — cache layers treat
-  /// either as a miss, never an error.
+  /// nullopt on parse failure, version mismatch, a negative count, or a
+  /// cube that is not one 0/1/- character per signal name — cache layers
+  /// treat each as a miss, never an error, and rebuild_covers() can trust
+  /// what it gets.
   static std::optional<Artifact> deserialize(const std::string& text);
 
   /// Rebuild the logic::Cover list (for write_pla / verification replay).

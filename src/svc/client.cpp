@@ -12,6 +12,13 @@
 
 namespace mps::svc {
 
+namespace {
+/// Connect retry backoff: the first retry waits kBackoffS, each further
+/// one twice as long, capped at kBackoffMaxS.
+constexpr double kBackoffS = 0.05;
+constexpr double kBackoffMaxS = 1.0;
+}  // namespace
+
 Client::Client(const std::string& target, const ClientOptions& opts)
     : Client(net::Endpoint::parse(target), opts) {}
 
@@ -22,13 +29,13 @@ Client::Client(const net::Endpoint& endpoint, const ClientOptions& opts)
 
 void Client::connect() {
   const int attempts = opts_.connect_attempts < 1 ? 1 : opts_.connect_attempts;
-  double backoff = opts_.backoff_s;
+  double backoff = kBackoffS;
   std::string last_error;
   int fd = -1;
   for (int attempt = 0; attempt < attempts && fd < 0; ++attempt) {
     if (attempt > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(backoff * 2.0, opts_.backoff_max_s);
+      backoff = std::min(backoff * 2.0, kBackoffMaxS);
     }
     try {
       fd = net::connect_to(endpoint_, util::Deadline::after(opts_.connect_timeout_s));
@@ -44,7 +51,6 @@ void Client::connect() {
   // is the only budget.
   session_ = std::make_unique<net::Session>(
       fd, net::SessionLimits{.max_line_bytes = std::numeric_limits<std::size_t>::max()});
-  if (opts_.handshake) version();
 }
 
 Json Client::request(const Json& req, double timeout_s) {

@@ -8,6 +8,8 @@
 // failure); request() runs its send and its response wait under one
 // per-request deadline, so a hung or dead peer throws instead of blocking
 // forever.  Framing is the server's: one net::Session per connection.
+// The protocol handshake is optional on the wire: callers that want it
+// call version() after connecting.
 #pragma once
 
 #include <memory>
@@ -23,24 +25,17 @@ struct ClientOptions {
   /// Per-attempt connect timeout; <=0 = OS default (blocking connect).
   double connect_timeout_s = 10.0;
   /// Total connection attempts (>=1); attempts after the first sleep an
-  /// exponential backoff starting at backoff_s, doubling, capped at
-  /// backoff_max_s.
+  /// exponential backoff starting at 50 ms, doubling, capped at 1 s.
   int connect_attempts = 1;
-  double backoff_s = 0.05;
-  double backoff_max_s = 1.0;
   /// Per-request response timeout; <=0 = wait forever (the PR-5 default —
   /// in-process tests legitimately wait minutes for a synthesis).
   double io_timeout_s = 0.0;
-  /// Send {"op":"version"} on connect and fail fast on a protocol
-  /// mismatch.  Off by default: the handshake is optional on the wire.
-  bool handshake = false;
 };
 
 class Client {
  public:
   /// Connect to `target` (an endpoint string: socket path or host:port).
-  /// Throws util::Error when every connect attempt failed, or on a
-  /// handshake version mismatch.
+  /// Throws util::Error when every connect attempt failed.
   explicit Client(const std::string& target, const ClientOptions& opts = {});
   explicit Client(const net::Endpoint& endpoint, const ClientOptions& opts = {});
 

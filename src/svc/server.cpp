@@ -110,7 +110,7 @@ void Server::run() {
       obs::counter_add("net.accepted", 1);
       reap_finished_connections();
       const net::SessionLimits limits{opts_.max_line_bytes, opts_.frame_timeout_s,
-                                      opts_.write_timeout_s};
+                                      kWriteTimeoutS};
       Connection& c = connections_.emplace_back();
       c.thread = std::thread([this, conn, limits, &c] {
         {

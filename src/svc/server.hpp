@@ -32,6 +32,9 @@
 
 namespace mps::svc {
 
+/// Per-session response write budget, seconds.
+inline constexpr double kWriteTimeoutS = 30.0;
+
 struct ServerOptions {
   /// Any net::Endpoint text — "host:port" for TCP, a path or "unix:PATH"
   /// for AF_UNIX.  TCP port 0 binds a kernel-assigned port; see
@@ -42,11 +45,10 @@ struct ServerOptions {
   /// Max bytes of one request line; longer frames get a JSON error + close
   /// instead of unbounded buffering.
   std::size_t max_line_bytes = 8u << 20;
-  /// Per-session frame/write timeouts (0 = none): a frame that stays
-  /// incomplete longer than frame_timeout_s, or a response write blocked
-  /// longer than write_timeout_s, closes that session only.
+  /// Per-session frame timeout (0 = none): a frame that stays incomplete
+  /// longer than this closes that session only.  A response write blocked
+  /// longer than kWriteTimeoutS does the same.
   double frame_timeout_s = 30.0;
-  double write_timeout_s = 30.0;
   ServiceOptions service;
 };
 

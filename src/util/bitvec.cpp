@@ -22,10 +22,6 @@ void BitVec::trim() {
   }
 }
 
-void BitVec::clear_all() {
-  for (auto& w : words_) w = 0;
-}
-
 void BitVec::set_all() {
   for (auto& w : words_) w = ~std::uint64_t{0};
   trim();

@@ -45,7 +45,6 @@ class BitVec {
     words_[i >> 6] ^= std::uint64_t{1} << (i & 63);
   }
 
-  void clear_all();
   void set_all();
 
   /// Append one bit at the end (grows size by 1).

@@ -39,10 +39,6 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -17,9 +17,6 @@ std::vector<std::string> split_on(std::string_view s, char delim);
 /// Strip leading/trailing whitespace.
 std::string_view trim(std::string_view s);
 
-/// True if `s` starts with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
-
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

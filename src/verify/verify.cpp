@@ -80,7 +80,7 @@ Report verify_synthesis(const sg::StateGraph& g,
                                          analysis.conflicts.size()));
   }
 
-  const auto violations = sg::semi_modularity_violations(g, /*allow_input_choice=*/true);
+  const auto violations = sg::semi_modularity_violations(g);
   report.semi_modular = violations.empty();
   for (const auto& [state, sig] : violations) {
     report.issues.push_back(util::format("signal %s disabled entering state %u",

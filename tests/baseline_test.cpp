@@ -6,6 +6,7 @@
 #include "core/synthesis.hpp"
 #include "sg/csc.hpp"
 #include "stg/builder.hpp"
+#include "util/common.hpp"
 #include "verify/verify.hpp"
 
 namespace {
@@ -114,6 +115,20 @@ TEST(Lavagno, TimeLimitReported) {
       baseline::lavagno_synthesis(benchmarks::find_benchmark("pa")->make(), opts);
   EXPECT_FALSE(r.success);
   EXPECT_TRUE(r.hit_limit);
+}
+
+TEST(Lavagno, OverallBudgetStopsARunningSolve) {
+  // The overall budget is the solves' deadline too: a whole-graph formula
+  // that would search for minutes stops when the budget runs out.
+  const auto g = sg::StateGraph::from_stg(benchmarks::find_benchmark("nak-pa")->make());
+  baseline::LavagnoOptions opts;
+  opts.time_limit_s = 0.5;
+  opts.derive_logic = false;
+  const util::Timer timer;
+  const auto r = baseline::lavagno_synthesis(g, opts);
+  EXPECT_LT(timer.seconds(), 5.0);
+  EXPECT_FALSE(r.success);
+  EXPECT_TRUE(r.hit_limit) << r.failure_reason;
 }
 
 TEST(Lavagno, ResultVerifiesEndToEnd) {

@@ -158,7 +158,7 @@ TEST(PartitionSat, CertificateRefutesUnseparableModule) {
   sat::SolveOptions cdcl;
   cdcl.engine = sat::Engine::Cdcl;
   for (std::size_t m = static_cast<std::size_t>(std::max(1, module.lower_bound));
-       m <= opts.max_new_signals; ++m) {
+       m <= core::kMaxNewSignals; ++m) {
     const encoding::Encoding enc(module.proj.graph, m, module.conflicts, module.compatible_pairs,
                                  opts.encode);
     EXPECT_EQ(sat::Solver().solve(enc.cnf(), nullptr, nullptr, cdcl), sat::Outcome::Unsat)

@@ -212,21 +212,6 @@ TEST(Encoding, DiamondConstraintsPreserveSemiModularity) {
   FAIL() << "no m in 1..3 solved the fork instance";
 }
 
-TEST(Encoding, EnforceUscSeparatesEverything) {
-  const auto g = sg::StateGraph::from_stg(toggle_stg());
-  const auto analysis = sg::analyze_csc(g);
-  encoding::EncodeOptions opts;
-  opts.enforce_usc = true;
-  const encoding::Encoding enc(g, 1, analysis.conflicts, {}, opts);
-  sat::Model model;
-  if (sat::Solver().solve(enc.cnf(), &model) == sat::Outcome::Sat) {
-    const auto assigns = decode(enc, model, g.num_states());
-    const auto ex = sg::expand(g, assigns);
-    // Unique codes everywhere (USC) implies max class size 1.
-    EXPECT_EQ(sg::analyze_csc(ex.graph).max_class_size, 1u);
-  }
-}
-
 TEST(Encoding, EncodeCscConvenienceMatchesManual) {
   const auto g = sg::StateGraph::from_stg(toggle_stg());
   const auto analysis = sg::analyze_csc(g);

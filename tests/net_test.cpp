@@ -226,10 +226,8 @@ std::string raw_roundtrip(int fd, const std::string& line) {
 
 TEST(NetProtocol, VersionHandshakeAcceptsAndRejects) {
   TcpServer ts({});
-  // A matching handshake succeeds (Client sends it when asked to).
-  svc::ClientOptions copts;
-  copts.handshake = true;
-  svc::Client client(ts.address(), copts);
+  // A matching handshake succeeds.
+  svc::Client client(ts.address());
   const svc::Json ok = client.version();
   EXPECT_TRUE(ok.get_bool("ok", false));
   EXPECT_EQ(ok.get_int("protocol", -1), svc::kProtocolVersion);
@@ -327,8 +325,6 @@ TEST(NetProtocol, ConnectRetriesAreBoundedAndReported) {
   svc::ClientOptions copts;
   copts.connect_attempts = 3;
   copts.connect_timeout_s = 1.0;
-  copts.backoff_s = 0.01;
-  copts.backoff_max_s = 0.02;
   try {
     svc::Client client(Endpoint::tcp("127.0.0.1", 1), copts);
     FAIL() << "connect to a closed port must throw";

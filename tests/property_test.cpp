@@ -60,7 +60,7 @@ void expect_certificate_sound(const sg::StateGraph& g, const std::string& name) 
       continue;
     }
     for (std::size_t m = static_cast<std::size_t>(std::max(1, module.lower_bound));
-         m <= opts.max_new_signals; ++m) {
+         m <= core::kMaxNewSignals; ++m) {
       const encoding::Encoding enc(module.proj.graph, m, module.conflicts,
                                    module.compatible_pairs, opts.encode);
       EXPECT_EQ(solve(enc.cnf()), sat::Outcome::Unsat) << where << " refuted, yet m=" << m;

@@ -372,8 +372,6 @@ TEST(SvcFingerprint, EveryResultAffectingModularFieldChangesIt) {
       {"input_properness",
        [](core::SynthesisOptions& m) { m.sat.encode.input_properness ^= true; }},
       {"naive_max_m", [](core::SynthesisOptions& m) { m.sat.encode.naive_max_m += 1; }},
-      {"enforce_usc", [](core::SynthesisOptions& m) { m.sat.encode.enforce_usc ^= true; }},
-      {"max_new_signals", [](core::SynthesisOptions& m) { m.sat.max_new_signals += 1; }},
       {"try_exact", [](core::SynthesisOptions& m) { m.minimize.try_exact ^= true; }},
       {"exact_max_vars", [](core::SynthesisOptions& m) { m.minimize.exact_max_vars += 1; }},
       {"exact_max_primes", [](core::SynthesisOptions& m) { m.minimize.exact_max_primes += 1; }},
@@ -381,7 +379,6 @@ TEST(SvcFingerprint, EveryResultAffectingModularFieldChangesIt) {
        [](core::SynthesisOptions& m) { m.minimize.exact_max_branch_nodes += 1; }},
       {"heuristic_loops", [](core::SynthesisOptions& m) { m.minimize.heuristic_loops += 1; }},
       {"max_states", [](core::SynthesisOptions& m) { m.build.max_states += 1; }},
-      {"require_safe", [](core::SynthesisOptions& m) { m.build.require_safe ^= true; }},
       {"max_rounds", [](core::SynthesisOptions& m) { m.max_rounds += 1; }},
       {"derive_logic", [](core::SynthesisOptions& m) { m.derive_logic ^= true; }},
   };
@@ -391,6 +388,64 @@ TEST(SvcFingerprint, EveryResultAffectingModularFieldChangesIt) {
     mutate(changed.modular);
     EXPECT_NE(svc::request_fingerprint(base), svc::request_fingerprint(changed))
         << field << " must be part of the modular cache key";
+  }
+}
+
+TEST(SvcFingerprint, EveryResultAffectingBaselineFieldChangesIt) {
+  // One mutation per remaining direct and lavagno field.
+  using Mutation = std::pair<const char*, void (*)(svc::RequestOptions&)>;
+  const std::vector<std::pair<const char*, std::vector<Mutation>>> methods = {
+      {"direct",
+       {
+           {"engine", [](svc::RequestOptions& r) { r.direct.solve.engine = sat::Engine::Cdcl; }},
+           {"max_backtracks", [](svc::RequestOptions& r) { r.direct.solve.max_backtracks += 1; }},
+           {"time_limit_s", [](svc::RequestOptions& r) { r.direct.solve.time_limit_s += 0.5; }},
+           {"restart_interval",
+            [](svc::RequestOptions& r) { r.direct.solve.restart_interval += 1; }},
+           {"seed", [](svc::RequestOptions& r) { r.direct.solve.seed += 1; }},
+           {"try_exact", [](svc::RequestOptions& r) { r.direct.minimize.try_exact ^= true; }},
+           {"exact_max_vars",
+            [](svc::RequestOptions& r) { r.direct.minimize.exact_max_vars += 1; }},
+           {"exact_max_primes",
+            [](svc::RequestOptions& r) { r.direct.minimize.exact_max_primes += 1; }},
+           {"exact_max_branch_nodes",
+            [](svc::RequestOptions& r) { r.direct.minimize.exact_max_branch_nodes += 1; }},
+           {"heuristic_loops",
+            [](svc::RequestOptions& r) { r.direct.minimize.heuristic_loops += 1; }},
+           {"max_rounds", [](svc::RequestOptions& r) { r.direct.max_rounds += 1; }},
+           {"derive_logic", [](svc::RequestOptions& r) { r.direct.derive_logic ^= true; }},
+       }},
+      {"lavagno",
+       {
+           {"engine", [](svc::RequestOptions& r) { r.lavagno.solve.engine = sat::Engine::Cdcl; }},
+           {"max_backtracks",
+            [](svc::RequestOptions& r) { r.lavagno.solve.max_backtracks += 1; }},
+           {"solve_time_limit_s",
+            [](svc::RequestOptions& r) { r.lavagno.solve.time_limit_s += 0.5; }},
+           {"restart_interval",
+            [](svc::RequestOptions& r) { r.lavagno.solve.restart_interval += 1; }},
+           {"seed", [](svc::RequestOptions& r) { r.lavagno.solve.seed += 1; }},
+           {"try_exact", [](svc::RequestOptions& r) { r.lavagno.minimize.try_exact ^= true; }},
+           {"exact_max_vars",
+            [](svc::RequestOptions& r) { r.lavagno.minimize.exact_max_vars += 1; }},
+           {"exact_max_primes",
+            [](svc::RequestOptions& r) { r.lavagno.minimize.exact_max_primes += 1; }},
+           {"exact_max_branch_nodes",
+            [](svc::RequestOptions& r) { r.lavagno.minimize.exact_max_branch_nodes += 1; }},
+           {"heuristic_loops",
+            [](svc::RequestOptions& r) { r.lavagno.minimize.heuristic_loops += 1; }},
+           {"time_limit_s", [](svc::RequestOptions& r) { r.lavagno.time_limit_s += 0.5; }},
+           {"derive_logic", [](svc::RequestOptions& r) { r.lavagno.derive_logic ^= true; }},
+       }},
+  };
+  for (const auto& [method, mutations] : methods) {
+    const svc::RequestOptions base = svc::default_request_options(method);
+    for (const auto& [field, mutate] : mutations) {
+      svc::RequestOptions changed = base;
+      mutate(changed);
+      EXPECT_NE(svc::request_fingerprint(base), svc::request_fingerprint(changed))
+          << field << " must be part of the " << method << " cache key";
+    }
   }
 }
 
@@ -479,6 +534,33 @@ TEST(SvcArtifact, VersionMismatchAndGarbageAreRejected) {
   ASSERT_NE(pos, std::string::npos);
   wire.replace(pos, needle.size(), "\"artifact_version\":999");
   EXPECT_FALSE(svc::Artifact::deserialize(wire).has_value());
+}
+
+TEST(SvcArtifact, NegativeCountsAndMalformedCubesAreRejected) {
+  // A corrupt daemon answer must read back as "no artifact": a negative
+  // count would wrap to a huge size, and a cube of the wrong length or
+  // alphabet would trip rebuild_covers() (not called here).
+  const std::string wire = sample_artifact().serialize();
+  const auto edited = [&](const std::string& from, const std::string& to) {
+    std::string w = wire;
+    const auto pos = w.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    if (pos != std::string::npos) w.replace(pos, from.size(), to);
+    return w;
+  };
+  ASSERT_TRUE(svc::Artifact::deserialize(wire).has_value());
+  for (const char* field : {"\"final_states\":28", "\"initial_signals\":4", "\"literals\":21",
+                            "\"gates\":3", "\"transistors\":14"}) {
+    const std::string from = field;
+    const std::string to = from.substr(0, from.find(':') + 1) + "-1";
+    EXPECT_FALSE(svc::Artifact::deserialize(edited(from, to)).has_value()) << to;
+  }
+  EXPECT_FALSE(svc::Artifact::deserialize(edited("\"10-1-\"", "\"10-1\"")).has_value())
+      << "cube shorter than the signal table";
+  EXPECT_FALSE(svc::Artifact::deserialize(edited("\"10-1-\"", "\"10-1--\"")).has_value())
+      << "cube longer than the signal table";
+  EXPECT_FALSE(svc::Artifact::deserialize(edited("\"10-1-\"", "\"10-12\"")).has_value())
+      << "cube character outside 01-";
 }
 
 TEST(SvcArtifact, RebuildCoversMatchesCubeStrings) {
