@@ -1,6 +1,7 @@
 #include "core/input_set.hpp"
 
 #include <numeric>
+#include <optional>
 
 #include "core/module_graph.hpp"
 #include "util/common.hpp"
@@ -26,6 +27,25 @@ std::vector<sg::SignalId> sg_trigger_signals(const sg::StateGraph& g, sg::Signal
   return out;
 }
 
+namespace {
+
+/// `q` with the original signal `s` hidden as well, its assignments merged
+/// by Figure 3's class-level rules; nullopt when those reject the merge.
+/// The per-edge rule is the caller's (sg::mergeable_labels on the complete
+/// graph).
+std::optional<sg::Projection> hide_one(const sg::Projection& q, sg::SignalId s) {
+  util::BitVec hide(q.kept.size());
+  hide.set(sg::kept_index(q, s));
+  sg::Projection next = sg::hide_signals(q.graph, hide);
+  for (sg::SignalId& k : next.kept) k = q.kept[k];
+  if (!sg::merge_into_classes(q.assignments, next.state_map, &next.assignments)) {
+    return std::nullopt;
+  }
+  return next;
+}
+
+}  // namespace
+
 InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
                                    const sg::Assignments& assigns, const InputSetOptions&) {
   MPS_ASSERT(o < g.num_signals());
@@ -34,7 +54,6 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
 
   // Start: keep o and its immediate input set; everything else is a
   // candidate for hiding.
-  util::BitVec hidden(g.num_signals());
   result.kept = util::BitVec(g.num_signals());
   result.kept.set(o);
   for (const sg::SignalId t : result.triggers) result.kept.set(t);
@@ -44,9 +63,17 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
     if (!result.kept.test(s)) pending.push_back(s);
   }
 
-  // Baseline conflicts/lower-bound on the unhidden graph.
-  const ModuleGraph base = project_module(g, o, hidden, assigns);
-  MPS_ASSERT(base.proj.assignments_consistent);
+  // `q` is the quotient by the signals hidden so far, carrying all of
+  // `assigns`; it starts as the unhidden graph.  Each probe hides one more
+  // signal on `q` instead of re-projecting `g` (hiding composes).  Of
+  // Figure 3's rules, the class-level ones are exact on `q`'s merged
+  // values; the per-edge one is not (see sg::mergeable_labels), so it is
+  // taken once per signal from `g`.
+  sg::Projection q =
+      sg::hide_signals(g, util::BitVec(g.num_signals()), assigns.empty() ? nullptr : &assigns);
+  MPS_ASSERT(q.assignments_consistent);
+  const std::vector<bool> mergeable = sg::mergeable_labels(g, assigns);
+  const sg::CscResult base = analyze_module(q, o, q.assignments);
   std::size_t n_csc = base.conflicts.size();
   int lb = base.lower_bound;
 
@@ -56,16 +83,20 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
   for (int pass = 0; pass < 4 && !pending.empty(); ++pass) {
     std::vector<sg::SignalId> rejected;
     for (const sg::SignalId s : pending) {
-      hidden.set(s);
-      const ModuleGraph probed = project_module(g, o, hidden, assigns);
-      if (probed.proj.assignments_consistent && probed.conflicts.size() <= n_csc &&
-          probed.lower_bound <= lb) {
-        n_csc = probed.conflicts.size();
-        lb = probed.lower_bound;
-      } else {
-        hidden.reset(s);  // signal (still) required
-        rejected.push_back(s);
+      ++result.probes;
+      std::optional<sg::Projection> probed;
+      if (mergeable[s]) probed = hide_one(q, s);
+      if (probed.has_value()) {
+        const sg::CscResult csc = analyze_module(*probed, o, probed->assignments);
+        if (csc.conflicts.size() <= n_csc && csc.lower_bound <= lb) {
+          ++result.accepted;
+          n_csc = csc.conflicts.size();
+          lb = csc.lower_bound;
+          q = std::move(*probed);
+          continue;
+        }
       }
+      rejected.push_back(s);  // signal (still) required
     }
     if (rejected.size() == pending.size()) {
       pending = std::move(rejected);
@@ -74,27 +105,24 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
     pending = std::move(rejected);
   }
   for (const sg::SignalId s : pending) result.kept.set(s);
+  result.module_states = q.graph.num_states();
 
   // State-signal retention (Figure 2 tail loop): drop each state signal
-  // unless dropping it increases the module's conflicts.
+  // unless dropping it increases the module's conflicts.  Merging is per
+  // signal, so a subset of `q`'s consistent assignments is the merge of
+  // the same subset: no projection needed.
   std::vector<std::size_t> kept_ss(assigns.num_signals());
   std::iota(kept_ss.begin(), kept_ss.end(), 0u);
-  {
-    const ModuleGraph full = project_module(g, o, hidden, assigns.subset(kept_ss));
-    MPS_ASSERT(full.proj.assignments_consistent);
-    std::size_t current = full.conflicts.size();
-    for (std::size_t k = assigns.num_signals(); k-- > 0;) {
-      std::vector<std::size_t> without;
-      for (const std::size_t x : kept_ss) {
-        if (x != k) without.push_back(x);
-      }
-      const ModuleGraph probed = project_module(g, o, hidden, assigns.subset(without));
-      if (probed.proj.assignments_consistent && probed.conflicts.size() <= current) {
-        kept_ss = std::move(without);
-        current = probed.conflicts.size();
-      }
+  for (std::size_t k = assigns.num_signals(); k-- > 0;) {
+    std::vector<std::size_t> without;
+    for (const std::size_t x : kept_ss) {
+      if (x != k) without.push_back(x);
     }
-    n_csc = current;
+    const sg::CscResult csc = analyze_module(q, o, q.assignments.subset(without));
+    if (csc.conflicts.size() <= n_csc) {
+      kept_ss = std::move(without);
+      n_csc = csc.conflicts.size();
+    }
   }
   result.kept_state_signals = std::move(kept_ss);
   result.module_conflicts = n_csc;

@@ -27,6 +27,11 @@ struct InputSetResult {
   /// Conflict count / lower bound on the final module projection.
   std::size_t module_conflicts = 0;
   int module_lower_bound = 0;
+  /// States of the final module projection.
+  std::size_t module_states = 0;
+  /// Greedy hiding effort: signals probed, and probes whose hiding held.
+  std::size_t probes = 0;
+  std::size_t accepted = 0;
 };
 
 /// Trigger signals of `o` at the state-graph level: signals u such that

@@ -1,8 +1,5 @@
 #include "core/module_graph.hpp"
 
-#include "sg/csc.hpp"
-#include "util/common.hpp"
-
 namespace mps::core {
 
 ModuleGraph build_module(const sg::StateGraph& g, sg::SignalId o, const InputSetResult& input_set,
@@ -11,30 +8,25 @@ ModuleGraph build_module(const sg::StateGraph& g, sg::SignalId o, const InputSet
   for (sg::SignalId s = 0; s < g.num_signals(); ++s) {
     if (input_set.kept.test(s)) hidden.reset(s);
   }
-  return project_module(g, o, hidden, assigns.subset(input_set.kept_state_signals));
-}
-
-ModuleGraph project_module(const sg::StateGraph& g, sg::SignalId o, const util::BitVec& hidden,
-                           const sg::Assignments& assigns) {
+  const sg::Assignments carried = assigns.subset(input_set.kept_state_signals);
   ModuleGraph module;
-  module.proj = sg::hide_signals(g, hidden, assigns.empty() ? nullptr : &assigns);
+  module.proj = sg::hide_signals(g, hidden, carried.empty() ? nullptr : &carried);
   module.focus = stg::kNoSignal;
   if (!module.proj.assignments_consistent) return module;
 
-  for (std::size_t i = 0; i < module.proj.kept.size(); ++i) {
-    if (module.proj.kept[i] == o) module.focus = static_cast<sg::SignalId>(i);
-  }
-  MPS_ASSERT(module.focus != stg::kNoSignal);
-
-  sg::CscOptions copts;
-  copts.focus_signal = module.focus;
-  sg::CscResult analysis = sg::analyze_csc(
-      module.proj.graph, module.proj.assignments.empty() ? nullptr : &module.proj.assignments,
-      copts);
+  module.focus = sg::kept_index(module.proj, o);
+  sg::CscResult analysis = analyze_module(module.proj, o, module.proj.assignments);
   module.conflicts = std::move(analysis.conflicts);
   module.compatible_pairs = std::move(analysis.compatible_pairs);
   module.lower_bound = analysis.lower_bound;
   return module;
+}
+
+sg::CscResult analyze_module(const sg::Projection& proj, sg::SignalId o,
+                             const sg::Assignments& assigns) {
+  sg::CscOptions copts;
+  copts.focus_signal = sg::kept_index(proj, o);
+  return sg::analyze_csc(proj.graph, assigns.empty() ? nullptr : &assigns, copts);
 }
 
 }  // namespace mps::core

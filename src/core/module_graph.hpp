@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/input_set.hpp"
+#include "sg/csc.hpp"
 #include "sg/projection.hpp"
 
 namespace mps::core {
@@ -22,18 +23,19 @@ struct ModuleGraph {
   int lower_bound = 0;
 };
 
-/// Build the module for output `o` given the input-set decision.  `assigns`
-/// are the global state-signal assignments; only `kept_state_signals` are
-/// carried in.
+/// Build the module for output `o` given the input-set decision: the
+/// projection of `g` onto `input_set.kept`, carrying the global state-signal
+/// assignments `assigns` named by `kept_state_signals`.  Its conflicts are
+/// left empty when the hiding merges states with inconsistent state-signal
+/// values (`proj.assignments_consistent` false, a Fig. 3 violation).
 ModuleGraph build_module(const sg::StateGraph& g, sg::SignalId o, const InputSetResult& input_set,
                          const sg::Assignments& assigns);
 
-/// The module of `o` that hiding `hidden` yields, carrying all of
-/// `assigns`.  Its conflicts are left empty when the hiding merges states
-/// with inconsistent state-signal values (`proj.assignments_consistent`
-/// false, a Fig. 3 violation).  Shared by build_module and the greedy
-/// hiding of determine_input_set.
-ModuleGraph project_module(const sg::StateGraph& g, sg::SignalId o, const util::BitVec& hidden,
-                           const sg::Assignments& assigns);
+/// The CSC analysis of a module projection: `proj.graph` focused on the
+/// original output `o`, with `assigns` (indexed by `proj`'s states) as the
+/// carried state signals.  Shared by build_module and the greedy hiding of
+/// determine_input_set.
+sg::CscResult analyze_module(const sg::Projection& proj, sg::SignalId o,
+                             const sg::Assignments& assigns);
 
 }  // namespace mps::core

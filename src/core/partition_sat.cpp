@@ -111,21 +111,23 @@ PartitionSatResult partition_sat(const ModuleGraph& module, const std::string& n
   }
 
   // Figure 4: start at the module's lower bound; on UNSAT add a state
-  // signal.  Outcome::Limit escalates m the same way: a larger signal
-  // count often has easy solutions where the smaller formula was a hard
-  // (likely unsatisfiable) instance.  Before the first escalation, the
-  // separability certificate stops it when no m can succeed.
+  // signal.  A Limit ends the module: a capped formula proves nothing, and
+  // the round's other modules, the next round or the rescue go on without
+  // it.  After the first Unsat, the separability certificate stops the
+  // escalation when no m can succeed.
   const std::size_t lowest = static_cast<std::size_t>(std::max(1, module.lower_bound));
   for (std::size_t m = lowest; m <= kMaxNewSignals; ++m) {
     const encoding::Encoding enc(module.proj.graph, m, module.conflicts,
                                  module.compatible_pairs, opts.encode);
     sat::Model model;
     result.formulas.push_back(solve_formula(enc.cnf(), m, opts.solve, &model));
-    if (result.formulas.back().outcome == sat::Outcome::Sat) {
+    const sat::Outcome outcome = result.formulas.back().outcome;
+    if (outcome == sat::Outcome::Sat) {
       decode_varying(enc, model, name_prefix, &result.module_assignments);
       result.success = true;
       return result;
     }
+    if (outcome == sat::Outcome::Limit) return result;
     if (m == lowest && m < kMaxNewSignals &&
         separability_certificate(module, opts, &result.formulas) == sat::Outcome::Unsat) {
       result.refuted = true;

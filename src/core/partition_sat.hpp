@@ -1,9 +1,10 @@
 // partition_sat (Figure 4): satisfy the module's CSC constraints by SAT,
 // starting from the lower bound on new state signals and adding one signal
-// at a time until the formula is satisfiable.  Before the first escalation
-// a single-signal separability certificate asks whether any signal count
-// can succeed, so a module no m can solve fails after a few tiny formulas
-// instead of after one capped solve per m (DESIGN.md §6).
+// after each Unsat until the formula is satisfiable.  A formula that hits
+// its limit ends the module.  Before the first escalation a single-signal
+// separability certificate asks whether any signal count can succeed, so a
+// module no m can solve fails after a few tiny formulas instead of after
+// one solve per m (DESIGN.md §6).
 #pragma once
 
 #include <string>
@@ -35,8 +36,8 @@ struct PartitionSatOptions {
   encoding::EncodeOptions encode;
   /// Module formulas are tiny, but a formula at too small an m can still be
   /// a hard Unsat instance; a backtrack cap keeps a single module from
-  /// stalling the flow (Figure 4 then escalates m, and the rescue path
-  /// finishes the job on the complete graph if every m fails).
+  /// stalling the flow (the module then fails, and a later round or the
+  /// rescue path on the complete graph finishes the job).
   sat::SolveOptions solve{.max_backtracks = 150'000, .time_limit_s = 5.0};
 };
 
@@ -73,6 +74,8 @@ sat::Outcome separability_certificate(const ModuleGraph& module, const Partition
                                       std::vector<FormulaStat>* formulas);
 
 struct PartitionSatResult {
+  /// False after a refutation, a formula that hit its limit, or Unsat at
+  /// every m up to kMaxNewSignals.
   bool success = false;
   /// The separability certificate proved that no signal count can
   /// separate the module's conflicts.
@@ -82,6 +85,9 @@ struct PartitionSatResult {
   std::vector<FormulaStat> formulas;
 };
 
+/// Figure 4 on `module`: m = max(1, lower bound) new signals, one more
+/// after each Unsat, up to kMaxNewSignals.  Stops at the first Sat
+/// (decoded with `name_prefix`), the first Limit, or a refuting certificate.
 PartitionSatResult partition_sat(const ModuleGraph& module, const std::string& name_prefix,
                                  const PartitionSatOptions& opts = {});
 

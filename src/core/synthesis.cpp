@@ -44,7 +44,14 @@ ModuleWork compute_module(const sg::StateGraph& g, sg::SignalId o,
   util::Timer timer;
   obs::Span span("synth.module", g.signal(o).name);
   span.arg("round", round);
-  const InputSetResult isr = determine_input_set(g, o, assigns);
+  InputSetResult isr;
+  {
+    obs::Span is_span("core.input_set");
+    isr = determine_input_set(g, o, assigns);
+    is_span.arg("probes", static_cast<std::int64_t>(isr.probes));
+    is_span.arg("accepted", static_cast<std::int64_t>(isr.accepted));
+    is_span.arg("module_states", static_cast<std::int64_t>(isr.module_states));
+  }
   ModuleWork w;
   w.module = build_module(g, o, isr, assigns);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 #include "util/common.hpp"
 
@@ -77,8 +76,8 @@ Projection hide_signals(const StateGraph& g, const util::BitVec& hide,
   }
   proj.graph.set_initial(proj.state_map[g.initial()]);
 
-  // Kept edges between classes, deduplicated.
-  std::vector<std::unordered_set<std::uint64_t>> seen(num_classes);
+  // Kept edges between classes, deduplicated by a scan of the class's
+  // out-list so far (short: a few edges per kept signal).
   for (StateId s = 0; s < n; ++s) {
     // All members of a class must agree on kept-signal values.
     for (std::size_t i = 0; i < proj.kept.size(); ++i) {
@@ -88,67 +87,90 @@ Projection hide_signals(const StateGraph& g, const util::BitVec& hide,
     for (const Edge& e : g.out(s)) {
       if (e.is_silent() || hide.test(e.sig)) continue;
       const StateId from = proj.state_map[s];
-      const StateId to = proj.state_map[e.to];
-      MPS_ASSERT(from != to);  // a kept edge changes a kept signal's value
-      const std::uint64_t key =
-          (std::uint64_t{dense[e.sig]} << 33) | (std::uint64_t{e.rise} << 32) | to;
-      if (seen[from].insert(key).second) {
-        proj.graph.add_edge(from, Edge{dense[e.sig], e.rise, to});
-      }
+      const Edge edge{dense[e.sig], e.rise, proj.state_map[e.to]};
+      MPS_ASSERT(from != edge.to);  // a kept edge changes a kept signal's value
+      const auto& out = proj.graph.out(from);
+      if (std::find(out.begin(), out.end(), edge) == out.end()) proj.graph.add_edge(from, edge);
     }
   }
 
-  // Merge existing state-signal assignments (Figure 3).
+  proj.assignments = Assignments(num_classes);
   if (assigns != nullptr && !assigns->empty()) {
-    proj.assignments = Assignments(num_classes);
-    for (std::size_t k = 0; k < assigns->num_signals(); ++k) {
-      std::vector<V4> merged(num_classes, V4::Zero);
-      std::vector<bool> has_zero(num_classes, false), has_one(num_classes, false),
-          has_up(num_classes, false), has_down(num_classes, false);
-      for (StateId s = 0; s < n; ++s) {
-        const StateId c = proj.state_map[s];
-        switch (assigns->value(k, s)) {
-          case V4::Zero: has_zero[c] = true; break;
-          case V4::One: has_one[c] = true; break;
-          case V4::Up: has_up[c] = true; break;
-          case V4::Down: has_down[c] = true; break;
-        }
-      }
-      // Per-edge directed check (the paper's §3.2 restriction, generalized).
-      for (StateId s = 0; s < n; ++s) {
-        for (const Edge& e : g.out(s)) {
-          if (!(e.is_silent() || hide.test(e.sig))) continue;
-          if (proj.state_map[s] != proj.state_map[e.to]) continue;
-          if (!merge_pair_allowed(assigns->value(k, s), assigns->value(k, e.to))) {
-            proj.assignments_consistent = false;
-          }
-        }
-      }
-      for (std::size_t c = 0; c < num_classes; ++c) {
-        if (has_up[c] && has_down[c]) {
-          // The signal both rises and falls inside the merged state: no
-          // single value exists (the paper's §3.2 Up/Down restriction).
-          proj.assignments_consistent = false;
-          merged[c] = has_one[c] ? V4::One : V4::Zero;
-        } else if (has_up[c]) {
-          merged[c] = V4::Up;  // Figure 3 (f), (g): {0,Up}, {Up,1} -> Up
-        } else if (has_down[c]) {
-          merged[c] = V4::Down;  // Figure 3 (h), (i): {1,Down}, {Down,0} -> Down
-        } else if (has_zero[c] && has_one[c]) {
-          // 0 and 1 in one class with no excitation boundary: inconsistent.
-          proj.assignments_consistent = false;
-          merged[c] = V4::Zero;
-        } else {
-          merged[c] = has_one[c] ? V4::One : V4::Zero;
-        }
-      }
-      proj.assignments.add_signal(assigns->name(k), std::move(merged));
+    const std::vector<bool> mergeable = mergeable_labels(g, *assigns);
+    for (SignalId sig = 0; sig < g.num_signals(); ++sig) {
+      if (hide.test(sig) && !mergeable[sig]) proj.assignments_consistent = false;
     }
-  } else {
-    proj.assignments = Assignments(num_classes);
+    if (!mergeable.back()) proj.assignments_consistent = false;  // ε edges
+    if (!merge_into_classes(*assigns, proj.state_map, &proj.assignments)) {
+      proj.assignments_consistent = false;
+    }
   }
-
   return proj;
+}
+
+SignalId kept_index(const Projection& proj, SignalId s) {
+  const auto it = std::lower_bound(proj.kept.begin(), proj.kept.end(), s);
+  MPS_ASSERT(it != proj.kept.end() && *it == s);
+  return static_cast<SignalId>(it - proj.kept.begin());
+}
+
+std::vector<bool> mergeable_labels(const StateGraph& g, const Assignments& assigns) {
+  MPS_ASSERT(assigns.num_states() == g.num_states());
+  std::vector<bool> mergeable(g.num_signals() + 1, true);
+  for (StateId s = 0; s < g.num_states(); ++s) {
+    for (const Edge& e : g.out(s)) {
+      const std::size_t label = e.is_silent() ? g.num_signals() : e.sig;
+      if (!mergeable[label]) continue;
+      for (std::size_t k = 0; k < assigns.num_signals(); ++k) {
+        if (!merge_pair_allowed(assigns.value(k, s), assigns.value(k, e.to))) {
+          mergeable[label] = false;
+          break;
+        }
+      }
+    }
+  }
+  return mergeable;
+}
+
+bool merge_into_classes(const Assignments& assigns, const std::vector<StateId>& state_map,
+                        Assignments* merged) {
+  MPS_ASSERT(state_map.size() == assigns.num_states());
+  const std::size_t num_classes = merged->num_states();
+  bool consistent = true;
+  for (std::size_t k = 0; k < assigns.num_signals(); ++k) {
+    std::vector<V4> values(num_classes, V4::Zero);
+    std::vector<bool> has_zero(num_classes, false), has_one(num_classes, false),
+        has_up(num_classes, false), has_down(num_classes, false);
+    for (StateId s = 0; s < state_map.size(); ++s) {
+      const StateId c = state_map[s];
+      switch (assigns.value(k, s)) {
+        case V4::Zero: has_zero[c] = true; break;
+        case V4::One: has_one[c] = true; break;
+        case V4::Up: has_up[c] = true; break;
+        case V4::Down: has_down[c] = true; break;
+      }
+    }
+    for (std::size_t c = 0; c < num_classes; ++c) {
+      if (has_up[c] && has_down[c]) {
+        // The signal both rises and falls inside the merged state: no
+        // single value exists (the paper's §3.2 Up/Down restriction).
+        consistent = false;
+        values[c] = has_one[c] ? V4::One : V4::Zero;
+      } else if (has_up[c]) {
+        values[c] = V4::Up;  // Figure 3 (f), (g): {0,Up}, {Up,1} -> Up
+      } else if (has_down[c]) {
+        values[c] = V4::Down;  // Figure 3 (h), (i): {1,Down}, {Down,0} -> Down
+      } else if (has_zero[c] && has_one[c]) {
+        // 0 and 1 in one class with no excitation boundary: inconsistent.
+        consistent = false;
+        values[c] = V4::Zero;
+      } else {
+        values[c] = has_one[c] ? V4::One : V4::Zero;
+      }
+    }
+    merged->add_signal(assigns.name(k), std::move(values));
+  }
+  return consistent;
 }
 
 StateGraph contract_silent(const StateGraph& g) {

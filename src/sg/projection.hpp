@@ -34,9 +34,30 @@ struct Projection {
 
 /// Quotient of `g` by the signals marked in `hide` (indexed by SignalId;
 /// silent edges are always contracted).  `assigns`, if given, must index
-/// the states of `g`.
+/// the states of `g`.  Hiding composes: hiding `s` on the quotient by H
+/// gives the quotient by H ∪ {s}, classes numbered in the same order.
 Projection hide_signals(const StateGraph& g, const util::BitVec& hide,
                         const Assignments* assigns = nullptr);
+
+/// The quotient signal of the original signal `s`; `proj` must keep `s`.
+SignalId kept_index(const Projection& proj, SignalId s);
+
+/// Figure 3's per-edge rule, per label: entry `sig` is false when some
+/// `sig`-labelled edge of `g` carries a value pair of some signal of
+/// `assigns` that merge_pair_allowed rejects; the last entry (index
+/// g.num_signals()) covers ε edges.  A hidden edge always ends inside one
+/// class, so the verdict for a label does not depend on what else is
+/// hidden.  Checked on `g`'s own values, never on merged ones: merging can
+/// turn an allowed pair such as (0, 0) into a rejected one, (Up, 0).
+std::vector<bool> mergeable_labels(const StateGraph& g, const Assignments& assigns);
+
+/// Figure 3's class-level rules: append to `merged` (sized to the class
+/// count) each signal of `assigns` merged over the classes of `state_map`.
+/// Returns false when a class mixes Up and Down, or 0 and 1 without an
+/// excitation; `merged` then holds best-effort values.  Merging a
+/// consistent quotient again gives the values of the composed quotient.
+bool merge_into_classes(const Assignments& assigns, const std::vector<StateId>& state_map,
+                        Assignments* merged);
 
 /// Contract only the silent (ε / dummy) edges of a graph; a graph without
 /// any comes back unchanged.

@@ -41,7 +41,7 @@ std::string minimize_fingerprint(const logic::MinimizeOptions& m) {
 /// the requested budget in instead.  Bump the version token when a
 /// result-affecting field is added or a method's artifacts change.
 std::string modular_fingerprint(const core::SynthesisOptions& m) {
-  return "core-v5;" + encode_fingerprint(m.sat.encode) + ";" + solve_fingerprint(m.sat.solve) +
+  return "core-v6;" + encode_fingerprint(m.sat.encode) + ";" + solve_fingerprint(m.sat.solve) +
          ";" + minimize_fingerprint(m.minimize) + ";" +
          util::format("max_states=%zu;max_rounds=%d;derive_logic=%d", m.build.max_states,
                       m.max_rounds, m.derive_logic ? 1 : 0);

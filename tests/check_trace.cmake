@@ -22,7 +22,8 @@ if(n_events LESS 10)
 endif()
 
 foreach(span sat.solve petri.reachability sg.infer_codes sg.analyze_csc
-             synth.modular synth.module sg.expand verify.synthesis netlist.verify_si)
+             synth.modular synth.module core.input_set sg.expand verify.synthesis
+             netlist.verify_si)
   if(NOT trace MATCHES "\"name\":\"${span}\"")
     message(FATAL_ERROR "trace is missing span '${span}'")
   endif()

@@ -166,6 +166,27 @@ TEST(PartitionSat, CertificateRefutesUnseparableModule) {
   }
 }
 
+TEST(PartitionSat, LimitEndsTheModule) {
+  // A formula that hits its cap proves nothing about larger m: the module
+  // fails at once, with no escalation and no certificate, and the round
+  // goes on without it.
+  const auto g = sg::StateGraph::from_stg(benchmarks::find_benchmark("vbe4a")->make());
+  const sg::Assignments none(g.num_states());
+  const sg::SignalId f = g.find_signal("f");
+  const auto module = core::build_module(g, f, core::determine_input_set(g, f, none), none);
+  ASSERT_FALSE(module.conflicts.empty());
+  core::PartitionSatOptions opts;
+  opts.solve.max_backtracks = 1;
+  const auto psr = core::partition_sat(module, "n", opts);
+  EXPECT_FALSE(psr.success);
+  EXPECT_FALSE(psr.refuted);
+  ASSERT_EQ(psr.formulas.size(), 1u);
+  EXPECT_FALSE(psr.formulas[0].certificate);
+  EXPECT_EQ(psr.formulas[0].outcome, sat::Outcome::Limit);
+  EXPECT_EQ(psr.formulas[0].num_new_signals,
+            static_cast<std::size_t>(std::max(1, module.lower_bound)));
+}
+
 TEST(Synthesis, RefutedModuleIsNamedInTheFailureReason) {
   // Without the rescue round the refuted module's proof is the run's
   // failure reason.
@@ -289,8 +310,8 @@ TEST(Synthesis, ModuleReportsRecordWallTime) {
 
 TEST(Synthesis, RoundTimeLimitStillTerminates) {
   // An absurdly small per-solve budget must not wedge or crash the flow:
-  // module solves get cut off like a backtrack limit, and the signal-count
-  // escalation, the rescue path or later rounds finish the job — possibly
+  // a cut-off solve ends its module like a backtrack limit, and other
+  // modules, later rounds or the rescue path finish the job — possibly
   // with a different (still CSC-valid) result, so only structural
   // properties are asserted here.
   core::SynthesisOptions opts;

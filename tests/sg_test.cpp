@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "benchmarks/generators.hpp"
 #include "sg/assignments.hpp"
 #include "sg/expand.hpp"
@@ -194,6 +197,94 @@ TEST(Projection, UpAndDownInOneClassRejected) {
   hide.set(g.find_signal("x"));
   const auto proj = sg::hide_signals(g, hide, &assigns);
   EXPECT_FALSE(proj.assignments_consistent);
+}
+
+/// Per quotient state, its out-edges as a sorted list: hiding composes up
+/// to the order in which a class's edges are listed.
+std::vector<std::vector<sg::Edge>> sorted_out(const StateGraph& g) {
+  std::vector<std::vector<sg::Edge>> out;
+  for (sg::StateId s = 0; s < g.num_states(); ++s) {
+    out.push_back(g.out(s));
+    std::sort(out.back().begin(), out.back().end(), [](const sg::Edge& a, const sg::Edge& b) {
+      return std::tie(a.sig, a.rise, a.to) < std::tie(b.sig, b.rise, b.to);
+    });
+  }
+  return out;
+}
+
+TEST(Projection, HidingComposes) {
+  // quotient(quotient(g, H), {s}) == quotient(g, H ∪ {s}), classes numbered
+  // in the same order.
+  for (const stg::Stg& spec : {toggle_stg(), mps::benchmarks::gen_sequencer("seq", 3),
+                               mps::benchmarks::gen_parallelizer("par", 3)}) {
+    const StateGraph g = StateGraph::from_stg(spec);
+    for (sg::SignalId s = 0; s < g.num_signals(); ++s) {
+      util::BitVec hide(g.num_signals());
+      for (sg::SignalId h = 0; h < g.num_signals(); ++h) {
+        if (h != s && h % 2 != s % 2) hide.set(h);
+      }
+      const auto q = sg::hide_signals(g, hide);
+      hide.set(s);
+      const auto direct = sg::hide_signals(g, hide);
+      util::BitVec one(q.kept.size());
+      const auto pos = std::find(q.kept.begin(), q.kept.end(), s) - q.kept.begin();
+      one.set(static_cast<std::size_t>(pos));
+      const auto composed = sg::hide_signals(q.graph, one);
+      const std::string where = spec.name() + " hiding " + g.signal(s).name;
+      ASSERT_EQ(composed.graph.num_states(), direct.graph.num_states()) << where;
+      for (sg::StateId x = 0; x < g.num_states(); ++x) {
+        ASSERT_EQ(composed.state_map[q.state_map[x]], direct.state_map[x]) << where;
+      }
+      for (sg::StateId c = 0; c < direct.graph.num_states(); ++c) {
+        EXPECT_EQ(composed.graph.code(c), direct.graph.code(c)) << where;
+      }
+      EXPECT_EQ(sorted_out(composed.graph), sorted_out(direct.graph)) << where;
+      EXPECT_EQ(composed.graph.initial(), direct.graph.initial()) << where;
+    }
+  }
+
+  // The merged values compose; Figure 3's per-edge rule does not.
+  // u -h+-> w and u -s+-> v with n = 0 at u, Up at w, 0 at v.  Hiding h
+  // merges {u, w} to Up; hiding s as well puts all three in one class,
+  // merged Up and consistent.  Re-running the per-edge rule on the merged
+  // values would see (Up, 0) across the s edge and wrongly reject it.
+  StateGraph g({{"h", false}, {"s", false}});
+  const auto code = [](bool h, bool s) {
+    util::BitVec c(2);
+    c.set(0, h);
+    c.set(1, s);
+    return c;
+  };
+  const sg::StateId u = g.add_state(code(false, false));
+  const sg::StateId w = g.add_state(code(true, false));
+  const sg::StateId v = g.add_state(code(false, true));
+  g.add_edge(u, {0, true, w});
+  g.add_edge(u, {1, true, v});
+  sg::Assignments assigns(g.num_states());
+  assigns.add_signal("n", {V4::Zero, V4::Up, V4::Zero});
+
+  util::BitVec hide_h(2);
+  hide_h.set(0);
+  const auto q = sg::hide_signals(g, hide_h, &assigns);
+  ASSERT_TRUE(q.assignments_consistent);
+  EXPECT_EQ(q.assignments.value(0, q.state_map[u]), V4::Up);
+  EXPECT_EQ(q.assignments.value(0, q.state_map[v]), V4::Zero);
+
+  util::BitVec hide_both(2, true);
+  const auto direct = sg::hide_signals(g, hide_both, &assigns);
+  ASSERT_TRUE(direct.assignments_consistent);
+  ASSERT_EQ(direct.graph.num_states(), 1u);
+  EXPECT_EQ(direct.assignments.value(0, 0), V4::Up);
+
+  util::BitVec hide_s(1, true);  // s is q's only signal
+  EXPECT_FALSE(sg::hide_signals(q.graph, hide_s, &q.assignments).assignments_consistent);
+
+  // The composed form: the per-edge rule from g, the class rules from q.
+  EXPECT_TRUE(sg::mergeable_labels(g, assigns)[1]);
+  const auto composed = sg::hide_signals(q.graph, hide_s);
+  sg::Assignments merged(composed.graph.num_states());
+  EXPECT_TRUE(sg::merge_into_classes(q.assignments, composed.state_map, &merged));
+  EXPECT_EQ(merged.value(0, 0), V4::Up);
 }
 
 // --- assignments / V4 --------------------------------------------------
