@@ -1,7 +1,9 @@
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <unordered_map>
 
 #include "util/common.hpp"
 
@@ -9,24 +11,83 @@ namespace mps::bdd {
 
 namespace {
 constexpr std::uint32_t kTerminalVar = 0xFFFFFFFFu;
+/// log2 of every table's initial size; each doubles as it fills.
+constexpr unsigned kInitialTableLog2 = 8;
+}  // namespace
+
+template <class Key>
+Manager::Memo<Key>::Memo()
+    : slots_(std::size_t{1} << kInitialTableLog2), shift_(64 - kInitialTableLog2) {}
+
+template <class Key>
+const NodeId* Manager::Memo<Key>::find(const Key& key) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.key.empty()) return nullptr;
+    if (slot.key == key) return &slot.result;
+  }
+}
+
+template <class Key>
+void Manager::Memo<Key>::insert(const Key& key, NodeId result) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    --shift_;
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (!slot.key.empty()) insert(slot.key, slot.result);
+    }
+  }
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(key);
+  while (!slots_[i].key.empty()) {
+    if (slots_[i].key == key) return;
+    i = (i + 1) & mask;
+  }
+  slots_[i] = Slot{key, result};
+  ++size_;
+}
+
+template <class Key>
+void Manager::Memo<Key>::clear() {
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  size_ = 0;
 }
 
 Manager::Manager(std::size_t num_vars) : num_vars_(num_vars) {
-  nodes_.push_back({kTerminalVar, kFalse, kFalse});  // 0 = false
-  nodes_.push_back({kTerminalVar, kTrue, kTrue});    // 1 = true
+  nodes_.push_back({{kTerminalVar, kFalse, kFalse}, kFalse});  // 0 = false
+  nodes_.push_back({{kTerminalVar, kTrue, kTrue}, kFalse});    // 1 = true
+  rehash_unique(std::size_t{1} << kInitialTableLog2);
+}
+
+void Manager::rehash_unique(std::size_t num_buckets) {
+  buckets_.assign(num_buckets, kFalse);
+  bucket_shift_ = 64 - static_cast<unsigned>(std::countr_zero(num_buckets));
+  for (NodeId id = 2; id < nodes_.size(); ++id) {
+    Entry& e = nodes_[id];
+    NodeId& head = buckets_[bucket(e.var, e.low, e.high)];
+    e.next = head;
+    head = id;
+  }
 }
 
 NodeId Manager::make(std::uint32_t v, NodeId low, NodeId high) {
   if (low == high) return low;  // reduction rule
-  const Key key{v, low, high};
-  if (const auto it = unique_.find(key); it != unique_.end()) return it->second;
+  NodeId& head = buckets_[bucket(v, low, high)];
+  for (NodeId id = head; id != kFalse; id = nodes_[id].next) {
+    const Entry& e = nodes_[id];
+    if (e.var == v && e.low == low && e.high == high) return id;
+  }
   if (max_nodes_ != 0 && nodes_.size() >= max_nodes_) {
     throw util::LimitError("bdd: node budget exceeded (" + std::to_string(max_nodes_) +
                            " nodes)");
   }
-  nodes_.push_back({v, low, high});
-  const NodeId id = static_cast<NodeId>(nodes_.size() - 1);
-  unique_.emplace(key, id);
+  const NodeId id = static_cast<NodeId>(nodes_.size());
+  nodes_.push_back({{v, low, high}, head});
+  head = id;
+  if (nodes_.size() > buckets_.size()) rehash_unique(2 * buckets_.size());
   return id;
 }
 
@@ -64,9 +125,9 @@ NodeId Manager::ite(NodeId f, NodeId g, NodeId h) {
   if (g == kTrue && h == kFalse) return f;
 
   const IteKey key{f, g, h};
-  if (const auto it = ite_cache_.find(key); it != ite_cache_.end()) {
+  if (const NodeId* hit = ite_cache_.find(key)) {
     ++stats_.cache_hits;
-    return it->second;
+    return *hit;
   }
   ++stats_.cache_misses;
   tick_op();
@@ -79,7 +140,7 @@ NodeId Manager::ite(NodeId f, NodeId g, NodeId h) {
   const NodeId low = ite(cof(f, false), cof(g, false), cof(h, false));
   const NodeId high = ite(cof(f, true), cof(g, true), cof(h, true));
   const NodeId result = make(v, low, high);
-  ite_cache_.emplace(key, result);
+  ite_cache_.insert(key, result);
   return result;
 }
 
@@ -88,17 +149,17 @@ NodeId Manager::restrict(NodeId f, std::uint32_t v, bool value) {
   const Node n = nodes_[f];
   if (n.var > v && n.var != kTerminalVar) return f;   // ordered: v not in support
   if (n.var == v) return value ? n.high : n.low;
-  const OpKey key{(value ? kOpRestrict1 : kOpRestrict0) + 8 * v, f, 0, 0};
-  if (const auto it = op_cache_.find(key); it != op_cache_.end()) {
+  const OpKey key{restrict_op(v, value), f, 0, 0};
+  if (const NodeId* hit = op_cache_.find(key)) {
     ++stats_.cache_hits;
-    return it->second;
+    return *hit;
   }
   ++stats_.cache_misses;
   tick_op();
   const NodeId low = restrict(n.low, v, value);
   const NodeId high = restrict(n.high, v, value);
   const NodeId result = make(n.var, low, high);
-  op_cache_.emplace(key, result);
+  op_cache_.insert(key, result);
   return result;
 }
 
@@ -141,9 +202,9 @@ NodeId Manager::exists_cube(NodeId f, NodeId cube) {
   while (cube > kTrue && nodes_[cube].var < n.var) cube = nodes_[cube].high;
   if (cube == kTrue) return f;
   const OpKey key{kOpExists, f, cube, 0};
-  if (const auto it = op_cache_.find(key); it != op_cache_.end()) {
+  if (const NodeId* hit = op_cache_.find(key)) {
     ++stats_.cache_hits;
-    return it->second;
+    return *hit;
   }
   ++stats_.cache_misses;
   tick_op();
@@ -156,7 +217,7 @@ NodeId Manager::exists_cube(NodeId f, NodeId cube) {
   } else {
     result = make(n.var, exists_cube(n.low, cube), exists_cube(n.high, cube));
   }
-  op_cache_.emplace(key, result);
+  op_cache_.insert(key, result);
   return result;
 }
 
@@ -174,9 +235,9 @@ NodeId Manager::and_exists(NodeId f, NodeId g, NodeId cube) {
 
   // The cache key orders the unordered pair {f, g} (∧ is commutative).
   const OpKey key{kOpAndExists, std::min(f, g), std::max(f, g), cube};
-  if (const auto it = op_cache_.find(key); it != op_cache_.end()) {
+  if (const NodeId* hit = op_cache_.find(key)) {
     ++stats_.cache_hits;
-    return it->second;
+    return *hit;
   }
   ++stats_.cache_misses;
   tick_op();
@@ -195,16 +256,16 @@ NodeId Manager::and_exists(NodeId f, NodeId g, NodeId cube) {
     result = make(v, and_exists(cof(f, false), cof(g, false), cube),
                   and_exists(cof(f, true), cof(g, true), cube));
   }
-  op_cache_.emplace(key, result);
+  op_cache_.insert(key, result);
   return result;
 }
 
 NodeId Manager::rename_shift_down(NodeId f) {
   if (f <= kTrue) return f;
   const OpKey key{kOpRename, f, 0, 0};
-  if (const auto it = op_cache_.find(key); it != op_cache_.end()) {
+  if (const NodeId* hit = op_cache_.find(key)) {
     ++stats_.cache_hits;
-    return it->second;
+    return *hit;
   }
   ++stats_.cache_misses;
   tick_op();
@@ -217,7 +278,7 @@ NodeId Manager::rename_shift_down(NodeId f) {
   MPS_ASSERT(low <= kTrue || nodes_[low].var > v);
   MPS_ASSERT(high <= kTrue || nodes_[high].var > v);
   const NodeId result = make(v, low, high);
-  op_cache_.emplace(key, result);
+  op_cache_.insert(key, result);
   return result;
 }
 
@@ -238,28 +299,25 @@ std::size_t Manager::gc(const std::vector<NodeId*>& roots) {
     stack.push_back(nodes_[x].high);
   }
 
-  // Compact in index order: make() only ever references already-existing
-  // children, so children keep smaller ids than their parents.
+  // Compact in place, in index order: make() only ever references
+  // already-existing children, so children keep smaller ids than their
+  // parents and every id moves down (remap[id] <= id).
   std::vector<NodeId> remap(nodes_.size(), kFalse);
-  std::vector<Node> kept;
-  kept.reserve(nodes_.size());
+  NodeId kept = 0;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     if (!mark[id]) continue;
-    remap[id] = static_cast<NodeId>(kept.size());
-    Node n = nodes_[id];
-    if (n.var != kTerminalVar) {
-      n.low = remap[n.low];
-      n.high = remap[n.high];
+    remap[id] = kept;
+    Entry e = nodes_[id];
+    if (e.var != kTerminalVar) {
+      e.low = remap[e.low];
+      e.high = remap[e.high];
     }
-    kept.push_back(n);
+    nodes_[kept++] = e;
   }
-  const std::size_t collected = nodes_.size() - kept.size();
-  nodes_ = std::move(kept);
+  const std::size_t collected = nodes_.size() - kept;
+  nodes_.resize(kept);
 
-  unique_.clear();
-  for (NodeId id = 2; id < nodes_.size(); ++id) {
-    unique_.emplace(Key{nodes_[id].var, nodes_[id].low, nodes_[id].high}, id);
-  }
+  rehash_unique(buckets_.size());
   // Every cached result may reference a freed or renumbered node: drop all.
   ite_cache_.clear();
   op_cache_.clear();

@@ -4,9 +4,18 @@
 // checking in verify::, and for the symbolic reachability / CSC engine in
 // bdd::SymbolicStg (symbolic.hpp).
 //
-// Classic design: a global-order unique table keyed by (var, low, high),
-// hash-consed nodes addressed by index, complement-free (both terminals
-// are materialized), memoized ITE.  Node 0 = false, node 1 = true.
+// Classic design: hash-consed nodes addressed by index, complement-free
+// (both terminals are materialized), memoized ITE.  Node 0 = false, node
+// 1 = true.  Every table is flat, so a lookup touches one or two cache
+// lines and freeing a manager frees a handful of arrays:
+//   * the unique table (var, low, high) -> node chains through the node
+//     array itself: each node carries the id of the next node in its
+//     bucket, and the bucket heads are a power-of-two array of ids
+//     (0 ends a chain: terminals are never chained).  Growth and gc()
+//     both rehash by walking the node array;
+//   * the two memo tables are exact open-addressed hash tables with
+//     linear probing.  Exact, not lossy: Stats::ops and the op budget
+//     count cache misses, so an evicting cache would change them.
 //
 // Beyond the textbook core the manager carries what image computation
 // needs:
@@ -26,7 +35,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "logic/cover.hpp"
@@ -44,7 +52,8 @@ class Manager {
 
   std::size_t num_vars() const { return num_vars_; }
   std::size_t num_nodes() const { return nodes_.size(); }
-  std::size_t unique_size() const { return unique_.size(); }
+  /// Entries in the unique table: every non-terminal node is in it once.
+  std::size_t unique_size() const { return nodes_.size() - 2; }
 
   NodeId bdd_false() const { return kFalse; }
   NodeId bdd_true() const { return kTrue; }
@@ -139,53 +148,88 @@ class Manager {
   /// Budget bookkeeping for one cache-miss expansion.
   void tick_op();
 
-  struct Key {
-    std::uint32_t var;
-    NodeId low, high;
-    bool operator==(const Key&) const = default;
+  /// Multiplicative hash of two packed words; callers take the top bits.
+  static constexpr std::uint64_t hash2(std::uint64_t x, std::uint64_t y) {
+    return ((x * 0x9E3779B97F4A7C15ull) ^ y) * 0xD6E8FEB86659FD93ull;
+  }
+  static constexpr std::uint64_t pack(std::uint32_t hi, std::uint32_t lo) {
+    return std::uint64_t{hi} << 32 | lo;
+  }
+
+  /// A node as stored: the public fields plus the unique-table chain.
+  struct Entry : Node {
+    NodeId next;  ///< next node in this unique-table bucket; 0 ends the chain
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(
-          util::hash_combine(util::hash_combine(k.var, k.low), k.high));
-    }
-  };
+  /// Unique-table bucket of (v, low, high).
+  std::size_t bucket(std::uint32_t v, NodeId low, NodeId high) const {
+    return static_cast<std::size_t>(hash2(pack(low, high), v) >> bucket_shift_);
+  }
+  /// Re-chain every node into `num_buckets` (a power of two) buckets.
+  void rehash_unique(std::size_t num_buckets);
+
+  /// ITE memo key.  f ≥ 2 (terminal f never reaches the cache), so f == 0
+  /// marks an empty slot.
   struct IteKey {
     NodeId f, g, h;
     bool operator==(const IteKey&) const = default;
+    bool empty() const { return f == 0; }
+    std::uint64_t hash() const { return hash2(pack(f, g), h); }
   };
-  struct IteKeyHash {
-    std::size_t operator()(const IteKey& k) const {
-      return static_cast<std::size_t>(util::hash_combine(util::hash_combine(k.f, k.g), k.h));
-    }
-  };
-  /// One cache for every non-ITE operation; `op` packs the opcode with its
-  /// scalar operand (variable+value for restrict), `a`/`b`/`c` hold node
-  /// operands (cubes ride in `c`).
+  /// One memo key for every non-ITE operation; `op` packs the opcode with
+  /// its scalar operand (see restrict_op), `a`/`b`/`c` hold node operands
+  /// (cubes ride in `c`).  op ≥ 1, so op == 0 marks an empty slot.
   struct OpKey {
     std::uint32_t op;
     NodeId a, b, c;
     bool operator==(const OpKey&) const = default;
-  };
-  struct OpKeyHash {
-    std::size_t operator()(const OpKey& k) const {
-      return static_cast<std::size_t>(util::hash_combine(
-          util::hash_combine(util::hash_combine(k.op, k.a), k.b), k.c));
-    }
+    bool empty() const { return op == 0; }
+    std::uint64_t hash() const { return hash2(pack(op, a), pack(b, c)); }
   };
   enum OpCode : std::uint32_t {
-    kOpRestrict0 = 1,  // + 4*var
-    kOpRestrict1 = 2,  // + 4*var
+    kOpRestrict0 = 1,  // packed by restrict_op
+    kOpRestrict1 = 2,  // packed by restrict_op
     kOpExists = 3,
     kOpAndExists = 4,
     kOpRename = 5,
   };
+  /// restrict's opcode: kOpRestrict0/1 + 8·v.  Every plain opcode is < 8,
+  /// so a packed restrict opcode never collides with another operation.
+  static constexpr std::uint32_t restrict_op(std::uint32_t v, bool value) {
+    return (value ? kOpRestrict1 : kOpRestrict0) + 8 * v;
+  }
+
+  /// Exact memo table: open addressing with linear probing over flat
+  /// {key, result} slots, doubled before it is half full, never evicting.
+  template <class Key>
+  class Memo {
+   public:
+    Memo();
+    /// The memoized result of `key`, or nullptr.
+    const NodeId* find(const Key& key) const;
+    /// Memoize `key` -> `result`; keeps an existing entry.
+    void insert(const Key& key, NodeId result);
+    /// Drop every entry (the capacity stays).
+    void clear();
+
+   private:
+    struct Slot {
+      Key key;
+      NodeId result;
+    };
+    std::size_t home(const Key& key) const {
+      return static_cast<std::size_t>(key.hash() >> shift_);
+    }
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+    unsigned shift_ = 0;  ///< 64 − log2(slots_.size())
+  };
 
   std::size_t num_vars_;
-  std::vector<Node> nodes_;
-  std::unordered_map<Key, NodeId, KeyHash> unique_;
-  std::unordered_map<IteKey, NodeId, IteKeyHash> ite_cache_;
-  std::unordered_map<OpKey, NodeId, OpKeyHash> op_cache_;
+  std::vector<Entry> nodes_;
+  std::vector<NodeId> buckets_;  ///< unique-table chain heads
+  unsigned bucket_shift_ = 0;    ///< 64 − log2(buckets_.size())
+  Memo<IteKey> ite_cache_;
+  Memo<OpKey> op_cache_;
   std::size_t max_nodes_ = 0;
   std::uint64_t max_ops_ = 0;
   Stats stats_;

@@ -6,10 +6,13 @@
 // implication-graph analysis, Chaff (Moskewicz et al.) the watched-literal
 // + VSIDS recipe, Glucose (Audemard & Simon) the LBD quality measure.
 //
-// Everything here may evolve freely: unlike the DPLL engine, whose search
-// path is bit-identity-pinned by the Table-1 reference, the CDCL engine is
-// pinned only on outcomes (BENCH_table1_cdcl.json — zero LIMIT rows) and on
-// agreement with DPLL (tests/sat_fuzz_test.cpp).
+// The search path is pinned, like the DPLL engine's: perfbench's
+// `baselines` workload checks every direct and lavagno row's decisions,
+// propagations, conflicts, restarts and learned-clause counts against
+// BENCH_table1_cdcl.json, so any change to the search (branching, learning,
+// restarts, reduction) fails each row whose solves it touches until that
+// reference is regenerated.  The fuzz harness (tests/sat_fuzz_test.cpp)
+// pins agreement with DPLL on outcomes.
 #include "sat/cdcl.hpp"
 
 #include <algorithm>
