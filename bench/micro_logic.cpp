@@ -60,10 +60,11 @@ void BM_ExactMinimize(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactMinimize)->Arg(6)->Arg(8)->Arg(10);
 
-void BM_ExtractNextState(benchmark::State& state) {
-  const auto g =
-      sg::StateGraph::from_stg(benchmarks::find_benchmark("sbuf-ram-write")->make());
-  const auto r = core::modular_synthesis(g);
+/// Extraction of the first non-input signal from `spec`'s final graph.
+void BM_ExtractNextState(benchmark::State& state, const stg::Stg& spec) {
+  core::SynthesisOptions opts;
+  opts.derive_logic = false;
+  const auto r = core::modular_synthesis(spec, opts);
   if (!r.success) {
     state.SkipWithError("synthesis failed");
     return;
@@ -71,11 +72,15 @@ void BM_ExtractNextState(benchmark::State& state) {
   sg::SignalId s = 0;
   while (r.final_graph.is_input(s)) ++s;
   for (auto _ : state) {
-    const auto spec = logic::extract_next_state(r.final_graph, s);
-    benchmark::DoNotOptimize(spec.on.size());
+    const auto ns = logic::extract_next_state(r.final_graph, s);
+    benchmark::DoNotOptimize(ns.on.size());
   }
+  state.counters["states"] = static_cast<double>(r.final_graph.num_states());
 }
-BENCHMARK(BM_ExtractNextState);
+BENCHMARK_CAPTURE(BM_ExtractNextState, sbuf_ram_write,
+                  benchmarks::find_benchmark("sbuf-ram-write")->make());
+BENCHMARK_CAPTURE(BM_ExtractNextState, pipe6, benchmarks::gen_pipeline("pipe6", 6))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DeriveAllLogic(benchmark::State& state, const char* name) {
   const auto g =

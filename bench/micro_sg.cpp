@@ -44,17 +44,20 @@ void BM_InferCodes(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_InferCodes, mmu0, "mmu0");
 BENCHMARK_CAPTURE(BM_InferCodes, mr0, "mr0");
 
-void BM_AnalyzeCsc(benchmark::State& state, const char* name) {
-  const auto g =
-      sg::StateGraph::from_stg(benchmarks::find_benchmark(name)->make());
+void BM_AnalyzeCsc(benchmark::State& state, const stg::Stg& spec) {
+  const auto g = sg::StateGraph::from_stg(spec);
   for (auto _ : state) {
     const auto a = sg::analyze_csc(g);
     benchmark::DoNotOptimize(a.conflicts.size());
   }
+  state.counters["states"] = static_cast<double>(g.num_states());
 }
-BENCHMARK_CAPTURE(BM_AnalyzeCsc, mmu1, "mmu1");
-BENCHMARK_CAPTURE(BM_AnalyzeCsc, mmu0, "mmu0");
-BENCHMARK_CAPTURE(BM_AnalyzeCsc, mr0, "mr0");
+BENCHMARK_CAPTURE(BM_AnalyzeCsc, mmu1, benchmarks::find_benchmark("mmu1")->make());
+BENCHMARK_CAPTURE(BM_AnalyzeCsc, mmu0, benchmarks::find_benchmark("mmu0")->make());
+BENCHMARK_CAPTURE(BM_AnalyzeCsc, mr0, benchmarks::find_benchmark("mr0")->make());
+// 39,368 states: large enough for the grouping of states by code to show.
+BENCHMARK_CAPTURE(BM_AnalyzeCsc, pipe9, benchmarks::gen_pipeline("pipe9", 9))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_HideSignals(benchmark::State& state, const char* name) {
   const auto g =

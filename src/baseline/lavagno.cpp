@@ -1,7 +1,6 @@
 #include "baseline/lavagno.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "encoding/csc_sat.hpp"
 #include "sat/local_search.hpp"
@@ -11,22 +10,22 @@ namespace mps::baseline {
 
 namespace {
 
-/// The conflicts of the code class with the most conflicts (the "worst"
-/// class), plus a single fallback pair.
+/// The conflicts of the code class with the most of them (the "worst"
+/// class), ties to the class holding the smallest pair.  `conflicts` is
+/// non-empty and sorted, as analyze_csc returns it, and so is the result.
 std::vector<std::pair<sg::StateId, sg::StateId>> worst_class_conflicts(
     const sg::StateGraph& g, const std::vector<std::pair<sg::StateId, sg::StateId>>& conflicts) {
-  std::unordered_map<util::BitVec, std::vector<std::pair<sg::StateId, sg::StateId>>,
-                     util::BitVecHash>
-      by_code;
-  for (const auto& pair : conflicts) by_code[g.code(pair.first)].push_back(pair);
-  std::vector<std::pair<sg::StateId, sg::StateId>> best;
-  for (auto& [code, pairs] : by_code) {
-    if (pairs.size() > best.size() ||
-        (pairs.size() == best.size() && !best.empty() && pairs.front() < best.front())) {
-      best = pairs;
-    }
-  }
-  std::sort(best.begin(), best.end());
+  MPS_ASSERT(!conflicts.empty() && std::is_sorted(conflicts.begin(), conflicts.end()));
+  const std::vector<std::uint32_t> class_of = sg::code_classes(g).class_of;
+  std::vector<std::size_t> count(g.num_states(), 0);  // by class id
+  for (const auto& pair : conflicts) ++count[class_of[pair.first]];
+  const auto more_conflicts = [&](const auto& x, const auto& y) {
+    return count[class_of[x.first]] > count[class_of[y.first]];
+  };
+  const std::uint32_t worst =
+      class_of[std::min_element(conflicts.begin(), conflicts.end(), more_conflicts)->first];
+  std::vector<std::pair<sg::StateId, sg::StateId>> best = conflicts;
+  std::erase_if(best, [&](const auto& pair) { return class_of[pair.first] != worst; });
   return best;
 }
 

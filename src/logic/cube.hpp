@@ -61,7 +61,6 @@ class Cube {
   std::optional<Cube> consensus(const Cube& other) const;
 
   bool operator==(const Cube&) const = default;
-  std::uint64_t hash() const { return bits_.hash(); }
 
   /// "10-1" rendering.
   std::string to_string() const;

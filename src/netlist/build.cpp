@@ -1,7 +1,7 @@
 #include "netlist/build.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <span>
 
 #include "util/common.hpp"
 
@@ -72,19 +72,10 @@ std::string fresh_name(const Netlist& n, std::string base) {
 std::pair<logic::SopSpec, logic::SopSpec> extract_set_reset(const sg::StateGraph& g,
                                                             sg::SignalId s) {
   MPS_ASSERT(!g.is_input(s));
-  // 0 = stable, 1 = excited-to-rise, 2 = excited-to-fall, per unique code.
-  std::unordered_map<util::BitVec, int, util::BitVecHash> table;
-  for (sg::StateId st = 0; st < g.num_states(); ++st) {
-    int exc = 0;
-    if (g.excited_dir(st, s, /*rise=*/true)) exc = 1;
-    else if (g.excited_dir(st, s, /*rise=*/false)) exc = 2;
-    const auto [it, inserted] = table.emplace(g.code(st), exc);
-    if (!inserted && it->second != exc) {
-      throw util::SemanticsError("CSC violation: signal " + g.signal(s).name +
-                                 " has conflicting excitation for code " +
-                                 g.code(st).to_string());
-    }
-  }
+  // 0 = stable, 1 = excited-to-rise, 2 = excited-to-fall; one per code class.
+  const auto excitation = [&](sg::StateId st) {
+    return g.excited_dir(st, s, /*rise=*/true) ? 1 : g.excited_dir(st, s, /*rise=*/false) ? 2 : 0;
+  };
   // Monotonic-cover specs: the set network must hold ER(s+) and may keep
   // covering the quiescent region QR(s+) (stable-1 codes are don't-cares),
   // but must be off everywhere s is 0 and not excited.  Without the QR
@@ -93,19 +84,21 @@ std::pair<logic::SopSpec, logic::SopSpec> extract_set_reset(const sg::StateGraph
   // the speed-independence verifier rightly rejects.  Dually for reset.
   logic::SopSpec set_spec, reset_spec;
   set_spec.num_vars = reset_spec.num_vars = g.num_signals();
-  for (const auto& [code, exc] : table) {
+  const sg::CodeClasses classes = sg::code_classes(g);
+  for (std::size_t c = 0; c < classes.num_classes(); ++c) {
+    const std::span<const sg::StateId> states = classes.members(c);
+    const int exc = excitation(states.front());
+    const util::BitVec& code = g.code(states.front());
+    if (std::any_of(states.begin(), states.end(),
+                    [&](sg::StateId st) { return excitation(st) != exc; })) {
+      throw util::SemanticsError("CSC violation: signal " + g.signal(s).name +
+                                 " has conflicting excitation for code " + code.to_string());
+    }
     const bool value = code.test(s);
     if (exc == 1) set_spec.on.push_back(code);
     else if (exc == 2 || !value) set_spec.off.push_back(code);
     if (exc == 2) reset_spec.on.push_back(code);
     else if (exc == 1 || value) reset_spec.off.push_back(code);
-  }
-  const auto by_bits = [](const util::BitVec& a, const util::BitVec& b) {
-    return a.to_string() < b.to_string();
-  };
-  for (auto* spec : {&set_spec, &reset_spec}) {
-    std::sort(spec->on.begin(), spec->on.end(), by_bits);
-    std::sort(spec->off.begin(), spec->off.end(), by_bits);
   }
   return {std::move(set_spec), std::move(reset_spec)};
 }

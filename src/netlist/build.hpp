@@ -42,10 +42,11 @@ Netlist build_netlist(const sg::StateGraph& g,
                       const std::vector<std::pair<std::string, logic::Cover>>& covers,
                       const BuildNetlistOptions& opts = {});
 
-/// The ER(o+)/ER(o-) set and reset specs of `s` over all graph signals
-/// (exposed for tests): ON = codes where o is excited to rise (fall),
-/// OFF = every other reachable code.  Throws util::SemanticsError if two
-/// states share a code but disagree — a CSC violation.
+/// The ER(s+)/ER(s-) set and reset specs of `s` over all graph signals
+/// (exposed for tests): ON = codes where s is excited to rise (fall), OFF =
+/// codes where s falls (rises) or is stable at 0 (1), one minterm per code
+/// in code order.  Throws util::SemanticsError if two states share a code
+/// but disagree — a CSC violation.
 std::pair<logic::SopSpec, logic::SopSpec> extract_set_reset(const sg::StateGraph& g,
                                                             sg::SignalId s);
 

@@ -1,8 +1,8 @@
 // WalkSAT/GSAT-style stochastic local search — the SAT algorithm family of
 // the paper's second author (Gu, "Local search for satisfiability", IEEE
-// TSMC 1993, cited as [4]).  Used as an alternative back-end for the
-// modular formulas and in the ablation bench; incomplete (cannot prove
-// UNSAT), so partition_sat() only uses it with a DPLL fallback.
+// TSMC 1993, cited as [4]).  Only baseline::lavagno_synthesis calls it, as
+// a first try on each class formula; it is incomplete (cannot prove UNSAT),
+// so a failed search falls back to the complete solver (sat::Solver).
 #pragma once
 
 #include <cstdint>

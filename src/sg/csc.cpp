@@ -1,7 +1,6 @@
 #include "sg/csc.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/obs.hpp"
 #include "util/common.hpp"
@@ -81,16 +80,15 @@ CscResult analyze_csc(const StateGraph& g, const Assignments* assigns, const Csc
   obs::Span span("sg.analyze_csc");
   CscResult result;
 
-  std::unordered_map<util::BitVec, std::vector<StateId>, util::BitVecHash> by_code;
-  for (StateId s = 0; s < g.num_states(); ++s) by_code[g.code(s)].push_back(s);
-
+  const CodeClasses classes = code_classes(g);
   const SignatureKeys keys(g, assigns, opts);
   const std::size_t W = keys.words_per_key();
   std::vector<std::uint64_t> sigs;       // k packed signatures, reused per class
   std::vector<char> in_conflict;         // per class member, reused
   std::vector<std::uint32_t> distinct;   // member indices of distinct conflicted sigs
 
-  for (const auto& [code, states] : by_code) {
+  for (std::size_t c = 0; c < classes.num_classes(); ++c) {
+    const std::span<const StateId> states = classes.members(c);
     const std::size_t k = states.size();
     if (k < 2) continue;
     result.num_usc_pairs += k * (k - 1) / 2;
@@ -111,13 +109,10 @@ CscResult analyze_csc(const StateGraph& g, const Assignments* assigns, const Csc
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = i + 1; j < k; ++j) {
         if (assigns != nullptr && assigns->separates_pair(states[i], states[j])) continue;
-        StateId a = states[i];
-        StateId b = states[j];
-        if (a > b) std::swap(a, b);
         if (same_sig(i, j)) {
-          result.compatible_pairs.emplace_back(a, b);
+          result.compatible_pairs.emplace_back(states[i], states[j]);
         } else {
-          result.conflicts.emplace_back(a, b);
+          result.conflicts.emplace_back(states[i], states[j]);
           class_has_conflict = true;
           in_conflict[i] = in_conflict[j] = 1;
         }
@@ -140,7 +135,7 @@ CscResult analyze_csc(const StateGraph& g, const Assignments* assigns, const Csc
     }
   }
 
-  // Deterministic order regardless of hash iteration.
+  // Pairs by (a, b), not by code.
   std::sort(result.conflicts.begin(), result.conflicts.end());
   std::sort(result.compatible_pairs.begin(), result.compatible_pairs.end());
   span.arg("states", static_cast<std::int64_t>(g.num_states()));

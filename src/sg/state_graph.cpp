@@ -1,7 +1,8 @@
 #include "sg/state_graph.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <numeric>
 
 #include "obs/obs.hpp"
 #include "petri/analysis.hpp"
@@ -250,17 +251,32 @@ StateGraph StateGraph::from_stg(const stg::Stg& stg, const BuildOptions& opts) {
   return g;
 }
 
-std::vector<std::vector<StateId>> code_classes(const StateGraph& g) {
-  std::unordered_map<util::BitVec, std::vector<StateId>, util::BitVecHash> by_code;
-  for (StateId s = 0; s < g.num_states(); ++s) by_code[g.code(s)].push_back(s);
-  std::vector<std::vector<StateId>> classes;
-  for (auto& [code, states] : by_code) {
-    if (states.size() >= 2) classes.push_back(std::move(states));
+CodeClasses code_classes(const StateGraph& g) {
+  const std::size_t n = g.num_states();
+  const std::size_t words = n == 0 ? 0 : g.code(0).num_words();
+  // The codes side by side: the sort reads one array, not a buffer per state.
+  std::vector<std::uint64_t> keys(n * words);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = g.code(i / words).word(i % words);
+  const auto key = [&](StateId s) { return keys.begin() + s * words; };
+  // BitVec::to_string() order, word by word: the code with a 0 at the lowest
+  // differing bit comes first.
+  const auto code_less = [&](StateId a, StateId b) {
+    const auto [x, y] = std::mismatch(key(a), key(a) + words, key(b));
+    return x != key(a) + words && (*y >> std::countr_zero(*x ^ *y) & 1u) != 0;
+  };
+  CodeClasses cc;
+  cc.order.resize(n);
+  std::iota(cc.order.begin(), cc.order.end(), StateId{0});
+  std::stable_sort(cc.order.begin(), cc.order.end(), code_less);  // ties keep ascending ids
+  cc.class_of.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == 0 || code_less(cc.order[i - 1], cc.order[i])) {
+      cc.begin.push_back(static_cast<std::uint32_t>(i));
+    }
+    cc.class_of[cc.order[i]] = static_cast<std::uint32_t>(cc.begin.size() - 1);
   }
-  // Deterministic order: by smallest member.
-  std::sort(classes.begin(), classes.end(),
-            [](const auto& a, const auto& b) { return a.front() < b.front(); });
-  return classes;
+  cc.begin.push_back(static_cast<std::uint32_t>(n));
+  return cc;
 }
 
 }  // namespace mps::sg

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -138,9 +139,22 @@ class StateGraph {
   StateId initial_ = 0;
 };
 
-/// Group states by identical code.  Returns class representative list:
-/// classes[k] = state ids sharing one code (only classes of size >= 2).
-std::vector<std::vector<StateId>> code_classes(const StateGraph& g);
+/// §2's code classes, the states that share one code.  `order` lists every
+/// state id by code in util::BitVec::to_string() order, ties by ascending id;
+/// class c is order[begin[c] .. begin[c + 1]), so classes are numbered in
+/// code order and list their members ascending.  class_of[s] is s's class.
+struct CodeClasses {
+  std::vector<StateId> order;
+  std::vector<std::uint32_t> begin;     ///< num_classes() + 1 offsets into order
+  std::vector<std::uint32_t> class_of;  ///< per state
+  std::size_t num_classes() const { return begin.size() - 1; }
+  std::span<const StateId> members(std::size_t c) const {
+    return {order.data() + begin[c], order.data() + begin[c + 1]};
+  }
+};
+
+/// The library's one code index, built by one sort of the state ids.
+CodeClasses code_classes(const StateGraph& g);
 
 /// Consistent state assignment inference (§2), exposed for tests and
 /// microbenchmarks: per-state signal values over the reachability graph, in

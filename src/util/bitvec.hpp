@@ -1,7 +1,7 @@
 // BitVec: a dynamically sized bit vector tuned for state-graph codes.
 //
-// State codes in this library are short (tens of bits) but are hashed and
-// compared millions of times during reachability and CSC analysis, so the
+// State codes in this library are short (tens of bits) but are compared
+// millions of times during CSC analysis and logic extraction, so the
 // representation is a flat word array with no virtual dispatch and an
 // explicit hash.  Unlike std::vector<bool> it exposes whole-word operations
 // (popcount, find_first, subset tests) needed by the logic minimizer.
@@ -99,10 +99,6 @@ class BitVec {
 
   std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;
-};
-
-struct BitVecHash {
-  std::size_t operator()(const BitVec& v) const { return static_cast<std::size_t>(v.hash()); }
 };
 
 }  // namespace mps::util

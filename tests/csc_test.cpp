@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "benchmarks/benchmarks.hpp"
 #include "sg/csc.hpp"
 #include "sg/state_graph.hpp"
@@ -176,6 +178,30 @@ TEST(Csc, ConflictsAreOrderedAndUnique) {
     EXPECT_LT(a1.conflicts[i], a1.conflicts[i + 1]);
   }
   for (const auto& [s1, s2] : a1.conflicts) EXPECT_LT(s1, s2);
+}
+
+TEST(Csc, MatchesPairwiseOracle) {
+  // Every pair of states, no code index: a code-equal pair is a conflict
+  // iff its excited non-input sets differ, else a compatible pair.
+  for (const auto& b : mps::benchmarks::table1_benchmarks()) {
+    const auto g = StateGraph::from_stg(b.make());
+    std::vector<std::pair<sg::StateId, sg::StateId>> conflicts, compatible;
+    std::vector<std::size_t> class_size(g.num_states(), 1);
+    for (sg::StateId i = 0; i < g.num_states(); ++i) {
+      for (sg::StateId j = i + 1; j < g.num_states(); ++j) {
+        if (g.code(i) != g.code(j)) continue;
+        ++class_size[i];
+        (g.excited_non_input(i) == g.excited_non_input(j) ? compatible : conflicts)
+            .emplace_back(i, j);
+      }
+    }
+    const auto a = sg::analyze_csc(g);
+    EXPECT_EQ(a.num_usc_pairs, conflicts.size() + compatible.size()) << b.name;
+    EXPECT_EQ(a.max_class_size, *std::max_element(class_size.begin(), class_size.end()))
+        << b.name;
+    EXPECT_EQ(a.conflicts, conflicts) << b.name;
+    EXPECT_EQ(a.compatible_pairs, compatible) << b.name;
+  }
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 #include <bit>
 #include <unordered_set>
 
+#include "benchmarks/benchmarks.hpp"
+#include "core/synthesis.hpp"
 #include "logic/cover.hpp"
 #include "logic/cube.hpp"
 #include "logic/extract.hpp"
 #include "logic/minimize.hpp"
 #include "logic/pla.hpp"
+#include "netlist/build.hpp"
 #include "sg/state_graph.hpp"
 #include "stg/builder.hpp"
 #include "util/common.hpp"
@@ -228,11 +231,11 @@ TEST(Minimize, EmptyOnSetGivesEmptyCover) {
 SopSpec sparse_spec(mps::util::Rng& rng, std::size_t vars, std::size_t points, double on_share) {
   SopSpec spec;
   spec.num_vars = vars;
-  std::unordered_set<BitVec, mps::util::BitVecHash> seen;
+  std::unordered_set<std::string> seen;
   while (seen.size() < points) {
     BitVec c(vars);
     for (std::size_t v = 0; v < vars; ++v) c.set(v, rng.chance(0.5));
-    if (!seen.insert(c).second) continue;
+    if (!seen.insert(c.to_string()).second) continue;
     (rng.chance(on_share) ? spec.on : spec.off).push_back(c);
   }
   return spec;
@@ -360,6 +363,55 @@ TEST(Extract, CscViolationDetected) {
                        .build();
   const auto g = mps::sg::StateGraph::from_stg(stg);
   EXPECT_THROW(extract_next_state(g, g.find_signal("x")), mps::util::SemanticsError);
+}
+
+std::vector<std::string> rendered(const std::vector<BitVec>& codes) {
+  std::vector<std::string> out;
+  for (const BitVec& c : codes) out.push_back(c.to_string());
+  return out;
+}
+
+/// `codes` as sorted, unique to_string() renderings.
+std::vector<std::string> sorted_codes(const std::vector<BitVec>& codes) {
+  std::vector<std::string> out = rendered(codes);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+TEST(Extract, MatchesPerStateOracle) {
+  // The ON/OFF lists read state by state, no code index: on a CSC graph
+  // every code lands in exactly the list its states agree on.
+  for (const auto& b : mps::benchmarks::table1_benchmarks()) {
+    mps::core::SynthesisOptions opts;
+    opts.derive_logic = false;
+    const auto r = mps::core::modular_synthesis(b.make(), opts);
+    ASSERT_TRUE(r.success) << b.name << ": " << r.failure_reason;
+    const mps::sg::StateGraph& g = r.final_graph;
+    for (mps::sg::SignalId s = 0; s < g.num_signals(); ++s) {
+      if (g.is_input(s)) continue;
+      std::vector<BitVec> on, off, set_on, set_off, reset_on, reset_off;
+      for (mps::sg::StateId st = 0; st < g.num_states(); ++st) {
+        const BitVec& c = g.code(st);
+        (implied_value(g, st, s) ? on : off).push_back(c);
+        const bool rise = g.excited_dir(st, s, true);
+        const bool fall = g.excited_dir(st, s, false);
+        if (rise) set_on.push_back(c);
+        else if (fall || !c.test(s)) set_off.push_back(c);
+        if (fall) reset_on.push_back(c);
+        else if (rise || c.test(s)) reset_off.push_back(c);
+      }
+      const std::string where = b.name + "/" + g.signal(s).name;
+      const SopSpec spec = extract_next_state(g, s);
+      EXPECT_EQ(rendered(spec.on), sorted_codes(on)) << where;
+      EXPECT_EQ(rendered(spec.off), sorted_codes(off)) << where;
+      const auto [set, reset] = mps::netlist::extract_set_reset(g, s);
+      EXPECT_EQ(rendered(set.on), sorted_codes(set_on)) << where;
+      EXPECT_EQ(rendered(set.off), sorted_codes(set_off)) << where;
+      EXPECT_EQ(rendered(reset.on), sorted_codes(reset_on)) << where;
+      EXPECT_EQ(rendered(reset.off), sorted_codes(reset_off)) << where;
+    }
+  }
 }
 
 // --- PLA I/O -------------------------------------------------------------

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <span>
+#include <string>
 #include <tuple>
 
 #include "benchmarks/benchmarks.hpp"
@@ -199,6 +201,53 @@ TEST(InputSet, IncrementalMatchesFullReprojection) {
       sg::StateGraph::from_stg(benchmarks::gen_sequencer("seq10", 10)), "seq10");
   for (const std::uint64_t seed : kRandomSeeds) {
     expect_input_sets_match_oracle(random_graph(seed), "seed " + std::to_string(seed));
+  }
+}
+
+/// sg::code_classes partitions the states of `g`: every state in exactly
+/// one class, each class's members ascending and sharing one code, class
+/// codes strictly increasing in to_string() order.
+void expect_code_classes_partition(const sg::StateGraph& g, const std::string& name) {
+  const sg::CodeClasses classes = sg::code_classes(g);
+  ASSERT_EQ(classes.order.size(), g.num_states()) << name;
+  ASSERT_EQ(classes.class_of.size(), g.num_states()) << name;
+  ASSERT_FALSE(classes.begin.empty()) << name;
+  EXPECT_EQ(classes.begin.front(), 0u) << name;
+  EXPECT_EQ(classes.begin.back(), g.num_states()) << name;
+  std::vector<int> seen(g.num_states(), 0);
+  std::string previous;
+  for (std::size_t c = 0; c < classes.num_classes(); ++c) {
+    const std::span<const sg::StateId> members = classes.members(c);
+    ASSERT_FALSE(members.empty()) << name << " class " << c;
+    const std::string code = g.code(members.front()).to_string();
+    if (c > 0) {
+      EXPECT_LT(previous, code) << name << " class " << c;
+    }
+    previous = code;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const sg::StateId s = members[i];
+      ASSERT_LT(s, g.num_states()) << name;
+      if (i > 0) {
+        EXPECT_LT(members[i - 1], s) << name << " class " << c;
+      }
+      EXPECT_EQ(g.code(s).to_string(), code) << name << " state " << s;
+      EXPECT_EQ(classes.class_of[s], c) << name << " state " << s;
+      ++seen[s];
+    }
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<std::ptrdiff_t>(g.num_states()))
+      << name;
+}
+
+TEST(CodeClasses, PartitionStatesInCodeOrder) {
+  for (const benchmarks::Benchmark& b : benchmarks::table1_benchmarks()) {
+    expect_code_classes_partition(sg::StateGraph::from_stg(b.make()), b.name);
+  }
+  expect_code_classes_partition(sg::StateGraph::from_stg(benchmarks::gen_pipeline("pipe6", 6)),
+                                "pipe6");
+  for (const std::uint64_t seed : kRandomSeeds) {
+    expect_code_classes_partition(random_graph(seed), "seed " + std::to_string(seed));
   }
 }
 

@@ -417,11 +417,4 @@ y- p0
   EXPECT_FALSE(sg::semi_modularity_violations(g).empty());
 }
 
-TEST(CodeClasses, GroupsByCode) {
-  const StateGraph g = StateGraph::from_stg(toggle_stg());
-  const auto classes = sg::code_classes(g);
-  ASSERT_EQ(classes.size(), 1u);
-  EXPECT_EQ(classes[0].size(), 2u);  // the two "00" states
-}
-
 }  // namespace

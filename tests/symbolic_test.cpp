@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <unordered_set>
 
 #include "bdd/symbolic.hpp"
 #include "benchmarks/benchmarks.hpp"
@@ -43,13 +42,11 @@ TEST(SymbolicVsExplicit, AgreesOnEveryTable1Benchmark) {
     EXPECT_EQ(sym.check_csc().holds, explicit_csc.satisfied()) << b.name;
     EXPECT_EQ(sym.initial_code(), g.code(g.initial())) << b.name;
 
-    std::unordered_set<BitVec, util::BitVecHash> codes;
     for (sg::StateId s = 0; s < g.num_states(); ++s) {
-      codes.insert(g.code(s));
       EXPECT_TRUE(sym.code_reachable(g.code(s))) << b.name << " state " << s;
     }
     EXPECT_DOUBLE_EQ(symbolic_code_count(sym, g.num_signals()),
-                     static_cast<double>(codes.size()))
+                     static_cast<double>(sg::code_classes(g).num_classes()))
         << b.name;
   }
 }

@@ -101,10 +101,10 @@ TEST(Verify, CoverWrongOnOneReachableCodeFlagged) {
       for (std::size_t c = 0; c < cover.size(); ++c) {
         if (c != drop) dropped.add(cover.cubes()[c]);
       }
-      std::unordered_set<util::BitVec, util::BitVecHash> missed;
+      std::unordered_set<std::string> missed;
       for (sg::StateId st = 0; st < g.num_states(); ++st) {
         if (cover.covers_code(g.code(st)) != dropped.covers_code(g.code(st))) {
-          missed.insert(g.code(st));
+          missed.insert(g.code(st).to_string());
         }
       }
       if (missed.size() != 1) continue;
