@@ -9,29 +9,33 @@ namespace {
 
 using namespace mps;
 
-void BM_StateGraphFromStg(benchmark::State& state) {
-  const auto stg =
-      benchmarks::gen_parallelizer("par", static_cast<int>(state.range(0)));
+void BM_StateGraphFromStg(benchmark::State& state, const stg::Stg& spec) {
   for (auto _ : state) {
-    const auto g = sg::StateGraph::from_stg(stg);
+    const auto g = sg::StateGraph::from_stg(spec);
     benchmark::DoNotOptimize(g.num_states());
   }
-  state.counters["states"] =
-      static_cast<double>(sg::StateGraph::from_stg(stg).num_states());
+  state.counters["states"] = static_cast<double>(sg::StateGraph::from_stg(spec).num_states());
 }
-BENCHMARK(BM_StateGraphFromStg)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK_CAPTURE(BM_StateGraphFromStg, par1, benchmarks::gen_parallelizer("par", 1));
+BENCHMARK_CAPTURE(BM_StateGraphFromStg, par2, benchmarks::gen_parallelizer("par", 2));
+BENCHMARK_CAPTURE(BM_StateGraphFromStg, par3, benchmarks::gen_parallelizer("par", 3));
+BENCHMARK_CAPTURE(BM_StateGraphFromStg, par4, benchmarks::gen_parallelizer("par", 4));
+// 39,368 states: large enough for the marking store to dominate.
+BENCHMARK_CAPTURE(BM_StateGraphFromStg, pipe9, benchmarks::gen_pipeline("pipe9", 9))
+    ->Unit(benchmark::kMillisecond);
 
-void BM_Reachability(benchmark::State& state, const char* name) {
-  const auto stg = benchmarks::find_benchmark(name)->make();
+void BM_Reachability(benchmark::State& state, const stg::Stg& spec) {
   for (auto _ : state) {
-    const auto r = petri::reachability(stg.net(), stg.initial_marking());
-    benchmark::DoNotOptimize(r.markings.size());
+    const auto r = petri::reachability(spec.net(), spec.initial_marking());
+    benchmark::DoNotOptimize(r.num_markings);
   }
   state.counters["markings"] = static_cast<double>(
-      petri::reachability(stg.net(), stg.initial_marking()).markings.size());
+      petri::reachability(spec.net(), spec.initial_marking()).num_markings);
 }
-BENCHMARK_CAPTURE(BM_Reachability, mmu0, "mmu0");
-BENCHMARK_CAPTURE(BM_Reachability, mr0, "mr0");
+BENCHMARK_CAPTURE(BM_Reachability, mmu0, benchmarks::find_benchmark("mmu0")->make());
+BENCHMARK_CAPTURE(BM_Reachability, mr0, benchmarks::find_benchmark("mr0")->make());
+BENCHMARK_CAPTURE(BM_Reachability, pipe9, benchmarks::gen_pipeline("pipe9", 9))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_InferCodes(benchmark::State& state, const char* name) {
   const auto stg = benchmarks::find_benchmark(name)->make();
@@ -40,6 +44,7 @@ void BM_InferCodes(benchmark::State& state, const char* name) {
     const auto codes = sg::infer_codes(stg, reach);
     benchmark::DoNotOptimize(codes.size());
   }
+  state.counters["markings"] = static_cast<double>(reach.num_markings);
 }
 BENCHMARK_CAPTURE(BM_InferCodes, mmu0, "mmu0");
 BENCHMARK_CAPTURE(BM_InferCodes, mr0, "mr0");

@@ -74,9 +74,10 @@ ModuleWork compute_module(const sg::StateGraph& g, sg::SignalId o,
 std::size_t derive_all_logic(const sg::StateGraph& g, const logic::MinimizeOptions& opts,
                              std::vector<std::pair<std::string, logic::Cover>>* covers) {
   std::size_t total = 0;
+  const sg::CodeClasses classes = sg::code_classes(g);
   for (sg::SignalId s = 0; s < g.num_signals(); ++s) {
     if (g.is_input(s)) continue;
-    const logic::SopSpec spec = logic::extract_next_state(g, s);
+    const logic::SopSpec spec = logic::extract_next_state(g, s, classes);
     logic::Cover cover = logic::minimize(spec, opts);
     total += cover.literal_count();
     if (covers != nullptr) covers->emplace_back(g.signal(s).name, std::move(cover));

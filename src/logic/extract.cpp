@@ -14,11 +14,15 @@ bool implied_value(const sg::StateGraph& g, sg::StateId st, sg::SignalId s) {
 }
 
 SopSpec extract_next_state(const sg::StateGraph& g, sg::SignalId s) {
+  return extract_next_state(g, s, sg::code_classes(g));
+}
+
+SopSpec extract_next_state(const sg::StateGraph& g, sg::SignalId s,
+                           const sg::CodeClasses& classes) {
   MPS_ASSERT(!g.is_input(s));
   SopSpec spec;
   spec.num_vars = g.num_signals();
   // One minterm per code class, in code order.
-  const sg::CodeClasses classes = sg::code_classes(g);
   for (std::size_t c = 0; c < classes.num_classes(); ++c) {
     const std::span<const sg::StateId> states = classes.members(c);
     const bool f = implied_value(g, states.front(), s);

@@ -16,5 +16,8 @@ bool implied_value(const sg::StateGraph& g, sg::StateId st, sg::SignalId s);
 /// graph signals.  Throws util::SemanticsError if two states share a code
 /// but imply different values — i.e. the graph violates CSC for `s`.
 SopSpec extract_next_state(const sg::StateGraph& g, sg::SignalId s);
+/// The same over `g`'s code index, built once by the caller for all signals.
+SopSpec extract_next_state(const sg::StateGraph& g, sg::SignalId s,
+                           const sg::CodeClasses& classes);
 
 }  // namespace mps::logic

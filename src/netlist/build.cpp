@@ -71,6 +71,12 @@ std::string fresh_name(const Netlist& n, std::string base) {
 
 std::pair<logic::SopSpec, logic::SopSpec> extract_set_reset(const sg::StateGraph& g,
                                                             sg::SignalId s) {
+  return extract_set_reset(g, s, sg::code_classes(g));
+}
+
+std::pair<logic::SopSpec, logic::SopSpec> extract_set_reset(const sg::StateGraph& g,
+                                                            sg::SignalId s,
+                                                            const sg::CodeClasses& classes) {
   MPS_ASSERT(!g.is_input(s));
   // 0 = stable, 1 = excited-to-rise, 2 = excited-to-fall; one per code class.
   const auto excitation = [&](sg::StateId st) {
@@ -84,7 +90,6 @@ std::pair<logic::SopSpec, logic::SopSpec> extract_set_reset(const sg::StateGraph
   // the speed-independence verifier rightly rejects.  Dually for reset.
   logic::SopSpec set_spec, reset_spec;
   set_spec.num_vars = reset_spec.num_vars = g.num_signals();
-  const sg::CodeClasses classes = sg::code_classes(g);
   for (std::size_t c = 0; c < classes.num_classes(); ++c) {
     const std::span<const sg::StateId> states = classes.members(c);
     const int exc = excitation(states.front());
@@ -115,6 +120,9 @@ Netlist build_netlist(const sg::StateGraph& g,
     n.add_wire({name, g.is_input(s) ? WireRole::kInput : WireRole::kOutput});
   }
 
+  // The set/reset specs of every latch read the same code index.
+  const sg::CodeClasses classes =
+      opts.mapping == Mapping::kStandardC ? sg::code_classes(g) : sg::CodeClasses{};
   for (sg::SignalId s = 0; s < g.num_signals(); ++s) {
     if (g.is_input(s)) continue;
     const WireId out = spec_wire(n, g, s);
@@ -142,7 +150,7 @@ Netlist build_netlist(const sg::StateGraph& g,
     }
 
     // kStandardC: set/reset SOP networks feeding a C latch.
-    auto [set_spec, reset_spec] = extract_set_reset(g, s);
+    auto [set_spec, reset_spec] = extract_set_reset(g, s, classes);
     const logic::Cover set_cover = logic::minimize(set_spec);
     const logic::Cover reset_cover = logic::minimize(reset_spec);
     WireId sr[2];

@@ -49,5 +49,9 @@ Netlist build_netlist(const sg::StateGraph& g,
 /// but disagree — a CSC violation.
 std::pair<logic::SopSpec, logic::SopSpec> extract_set_reset(const sg::StateGraph& g,
                                                             sg::SignalId s);
+/// The same over `g`'s code index, built once by the caller for all signals.
+std::pair<logic::SopSpec, logic::SopSpec> extract_set_reset(const sg::StateGraph& g,
+                                                            sg::SignalId s,
+                                                            const sg::CodeClasses& classes);
 
 }  // namespace mps::netlist

@@ -1,10 +1,10 @@
 #include "petri/analysis.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
+#include <cstring>
 
 #include "obs/obs.hpp"
+#include "util/id_table.hpp"
 
 namespace mps::petri {
 
@@ -37,55 +37,75 @@ bool is_free_choice(const Net& net) {
 ReachabilityResult reachability(const Net& net, const Marking& m0,
                                 const ReachabilityOptions& opts) {
   obs::Span span("petri.reachability");
+  const std::size_t np = net.num_places();
+  MPS_ASSERT(m0.size() == np);
   ReachabilityResult result;
+
+  // Additive hash: h(M) = sum of key[p] * M[p], so firing t moves any
+  // marking's hash by the same delta[t] (unit arc weights).
+  util::Rng rng;
+  std::vector<std::uint64_t> key(np);
+  for (auto& k : key) k = rng.next();
+  std::vector<std::uint64_t> delta(net.num_transitions(), 0);
+  for (TransId t = 0; t < net.num_transitions(); ++t) {
+    for (PlaceId p : net.trans_post(t)) delta[t] += key[p];
+    for (PlaceId p : net.trans_pre(t)) delta[t] -= key[p];
+  }
+
+  // Marking i lives at tokens[i * np, (i + 1) * np) and hashes to hashes[i].
+  std::vector<std::uint8_t> tokens(np);
+  std::vector<std::uint64_t> hashes{0};
+  for (PlaceId p = 0; p < np; ++p) {
+    tokens[p] = m0.tokens(p);
+    hashes[0] += key[p] * tokens[p];
+    // Safety of the initial marking is checked across all places exactly
+    // once; after that, a firing can only add tokens to the fired
+    // transition's postset, so the check below is restricted to it.
+    if (tokens[p] > opts.max_tokens_per_place) result.safe = false;
+  }
+  util::IdTable index;
+  index.insert(hashes[0], 0);
   const auto finish = [&] {
-    span.arg("markings", static_cast<std::int64_t>(result.markings.size()));
+    result.num_markings = hashes.size();
+    span.arg("markings", static_cast<std::int64_t>(result.num_markings));
     span.arg("edges", static_cast<std::int64_t>(result.edges.size()));
     span.arg("complete", result.complete ? 1 : 0);
   };
-  std::unordered_map<Marking, std::uint32_t, MarkingHash> index;
 
-  result.markings.push_back(m0);
-  index.emplace(m0, 0);
-  // Safety of the initial marking is checked across all places exactly once;
-  // after that, a firing can only add tokens to the fired transition's
-  // postset, so the per-expansion check below is restricted to it.
-  for (PlaceId p = 0; p < net.num_places(); ++p) {
-    if (m0.tokens(p) > opts.max_tokens_per_place) result.safe = false;
-  }
-
-  // Scratch state reused across expansions: the source-marking copy (needed
-  // because result.markings may reallocate while we push successors), the
-  // fired marking, and the enabled-transition list.  This keeps the loop
-  // allocation-free except for genuinely new markings.
-  Marking m, next;
-  std::vector<TransId> enabled;
-
-  std::deque<std::uint32_t> frontier{0};
-  while (!frontier.empty()) {
-    const std::uint32_t from = frontier.front();
-    frontier.pop_front();
-    m = result.markings[from];
-    net.enabled_transitions(m, &enabled);
-    for (TransId t : enabled) {
-      net.fire_into(m, t, &next);
-      for (PlaceId p : net.trans_post(t)) {
-        if (next.tokens(p) > opts.max_tokens_per_place) result.safe = false;
+  std::vector<std::uint8_t> next(np);
+  const auto same = [&](std::uint32_t id) {
+    return std::memcmp(tokens.data() + id * np, next.data(), np) == 0;
+  };
+  // Ids are handed out in discovery order, so walking them in order is the
+  // breadth-first search: no frontier queue.
+  for (std::uint32_t from = 0; from < hashes.size(); ++from) {
+    for (TransId t = 0; t < net.num_transitions(); ++t) {
+      const std::uint8_t* m = tokens.data() + from * np;  // tokens may have grown
+      const auto& pre = net.trans_pre(t);
+      if (!std::all_of(pre.begin(), pre.end(), [&](PlaceId p) { return m[p] != 0; })) continue;
+      std::memcpy(next.data(), m, np);
+      for (PlaceId p : pre) {
+        MPS_ASSERT(next[p] > 0);
+        --next[p];
       }
-      const auto it = index.find(next);
-      if (it != index.end()) {
-        result.edges.push_back({from, t, it->second});
+      for (PlaceId p : net.trans_post(t)) {
+        if (next[p] == 255) throw util::SemanticsError("marking overflow: place token count > 255");
+        if (++next[p] > opts.max_tokens_per_place) result.safe = false;
+      }
+      const std::uint64_t h = hashes[from] + delta[t];
+      if (const std::uint32_t to = index.find(h, same); to != util::IdTable::kNone) {
+        result.edges.push_back({from, t, to});
         continue;
       }
-      if (result.markings.size() >= opts.max_markings) {
+      if (hashes.size() >= opts.max_markings) {
         result.complete = false;
         finish();
         return result;
       }
-      const std::uint32_t id = static_cast<std::uint32_t>(result.markings.size());
-      index.emplace(next, id);
-      result.markings.push_back(next);
-      frontier.push_back(id);
+      const std::uint32_t id = static_cast<std::uint32_t>(hashes.size());
+      tokens.insert(tokens.end(), next.begin(), next.end());
+      hashes.push_back(h);
+      index.insert(h, id);
       result.edges.push_back({from, t, id});
     }
   }
@@ -151,7 +171,7 @@ std::size_t count_sccs(std::size_t n, const std::vector<ReachabilityResult::Edge
 }  // namespace
 
 bool is_strongly_connected(const ReachabilityResult& reach) {
-  return count_sccs(reach.markings.size(), reach.edges) == 1;
+  return count_sccs(reach.num_markings, reach.edges) == 1;
 }
 
 bool is_live(const Net& net, const ReachabilityResult& reach) {

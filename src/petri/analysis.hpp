@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "petri/net.hpp"
@@ -29,7 +28,9 @@ struct ReachabilityOptions {
 };
 
 struct ReachabilityResult {
-  std::vector<Marking> markings;  ///< index = marking id; [0] is M0
+  /// Markings reached; ids 0 .. num_markings - 1 in breadth-first
+  /// discovery order, 0 being M0.
+  std::size_t num_markings = 0;
   /// Edges: (from marking id, transition, to marking id), in discovery order.
   struct Edge {
     std::uint32_t from;
@@ -42,8 +43,8 @@ struct ReachabilityResult {
 };
 
 /// Exhaustive token-game exploration from `m0` (breadth-first, deterministic
-/// order).  Throws util::LimitError if a marking exceeds max_tokens_per_place
-/// + 1 would overflow, sets complete=false if max_markings is reached.
+/// order).  Throws util::SemanticsError if a place would hold more than 255
+/// tokens; sets complete=false if max_markings is reached.
 ReachabilityResult reachability(const Net& net, const Marking& m0,
                                 const ReachabilityOptions& opts = {});
 

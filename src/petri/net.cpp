@@ -62,16 +62,11 @@ void Net::enabled_transitions(const Marking& m, std::vector<TransId>* out) const
 }
 
 Marking Net::fire(const Marking& m, TransId t) const {
-  Marking next;
-  fire_into(m, t, &next);
-  return next;
-}
-
-void Net::fire_into(const Marking& m, TransId t, Marking* out) const {
   MPS_ASSERT(enabled(m, t));
-  *out = m;  // copy-assign reuses *out's storage in the reachability loop
-  for (PlaceId p : transitions_[t].pre) out->remove_token(p);
-  for (PlaceId p : transitions_[t].post) out->add_token(p);
+  Marking next = m;
+  for (PlaceId p : transitions_[t].pre) next.remove_token(p);
+  for (PlaceId p : transitions_[t].post) next.add_token(p);
+  return next;
 }
 
 }  // namespace mps::petri

@@ -99,8 +99,6 @@ class Net {
 
   /// Fire an enabled transition: M --t--> M'.
   Marking fire(const Marking& m, TransId t) const;
-  /// Allocation-free variant: `*out` receives M' (reusing its storage).
-  void fire_into(const Marking& m, TransId t, Marking* out) const;
 
   Marking empty_marking() const { return Marking(places_.size()); }
 

@@ -1,31 +1,12 @@
 #include "sg/expand.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 
 #include "obs/obs.hpp"
 #include "util/common.hpp"
+#include "util/id_table.hpp"
 
 namespace mps::sg {
-
-namespace {
-
-/// Key of an expanded state: (original state, phase bits of the inserted
-/// signals packed into a word).  Up to 64 inserted signals — far beyond
-/// anything synthesis produces.
-struct Key {
-  StateId state;
-  std::uint64_t phases;
-  bool operator==(const Key&) const = default;
-};
-struct KeyHash {
-  std::size_t operator()(const Key& k) const {
-    return static_cast<std::size_t>(util::hash_combine(k.state, k.phases));
-  }
-};
-
-}  // namespace
 
 Expansion expand(const StateGraph& g, const Assignments& assigns, bool check_consistency) {
   obs::Span span("sg.expand");
@@ -58,13 +39,21 @@ Expansion expand(const StateGraph& g, const Assignments& assigns, bool check_con
     return code;
   };
 
-  std::unordered_map<Key, StateId, KeyHash> index;
+  // An expanded state is (original state, phase bits of the inserted
+  // signals packed into a word: up to 64 inserted signals, far beyond
+  // anything synthesis produces); the table interns it by that pair.
+  std::vector<std::uint64_t> phases_of;  // per expanded state
+  util::IdTable index;
   auto intern = [&](StateId orig, std::uint64_t phases) {
-    const Key key{orig, phases};
-    if (const auto it = index.find(key); it != index.end()) return it->second;
+    const std::uint64_t h = util::hash_combine(orig, phases);
+    const StateId found = index.find(h, [&](std::uint32_t id) {
+      return result.origin[id] == orig && phases_of[id] == phases;
+    });
+    if (found != util::IdTable::kNone) return found;
     const StateId id = result.graph.add_state(make_code(orig, phases));
     result.origin.push_back(orig);
-    index.emplace(key, id);
+    phases_of.push_back(phases);
+    index.insert(h, id);
     return id;
   };
 
@@ -72,23 +61,14 @@ Expansion expand(const StateGraph& g, const Assignments& assigns, bool check_con
   for (std::size_t k = 0; k < m; ++k) {
     if (phase_of(assigns.value(k, g.initial()))) init_phases |= std::uint64_t{1} << k;
   }
-  const StateId init = intern(g.initial(), init_phases);
-  result.graph.set_initial(init);
+  result.graph.set_initial(intern(g.initial(), init_phases));
 
-  std::deque<StateId> frontier{init};
-  while (!frontier.empty()) {
-    const StateId cur = frontier.front();
-    frontier.pop_front();
+  // Ids are handed out in discovery order, so walking them in order is the
+  // breadth-first search: no frontier queue.
+  for (StateId cur = 0; cur < result.graph.num_states(); ++cur) {
     const StateId orig = result.origin[cur];
-    const std::uint64_t phases = [&] {
-      std::uint64_t p = 0;
-      for (std::size_t k = 0; k < m; ++k) {
-        if (result.graph.code(cur).test(base + k)) p |= std::uint64_t{1} << k;
-      }
-      return p;
-    }();
+    const std::uint64_t phases = phases_of[cur];
 
-    const std::size_t before = result.graph.num_states();
     // Inserted-signal transitions.
     for (std::size_t k = 0; k < m; ++k) {
       const V4 v = assigns.value(k, orig);
@@ -110,9 +90,6 @@ Expansion expand(const StateGraph& g, const Assignments& assigns, bool check_con
       if (!ok) continue;
       const StateId to = intern(e.to, phases);
       result.graph.add_edge(cur, Edge{e.sig, e.rise, to});
-    }
-    for (StateId s = static_cast<StateId>(before); s < result.graph.num_states(); ++s) {
-      frontier.push_back(s);
     }
   }
 

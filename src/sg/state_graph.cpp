@@ -115,7 +115,7 @@ void StateGraph::check_consistency() const {
 /// lowest such signal id is reported, matching the per-signal scan order.
 std::vector<util::BitVec> infer_codes(const stg::Stg& stg,
                                       const petri::ReachabilityResult& reach) {
-  const std::size_t num_states = reach.markings.size();
+  const std::size_t num_states = reach.num_markings;
   const std::size_t num_signals = stg.num_signals();
   obs::Span span("sg.infer_codes");
   span.arg("states", static_cast<std::int64_t>(num_states));
@@ -218,7 +218,7 @@ StateGraph StateGraph::from_stg(const stg::Stg& stg, const BuildOptions& opts) {
 
   const bool has_dummies = infos.size() != stg.num_signals();
   StateGraph g(std::move(infos));
-  for (std::uint32_t st = 0; st < reach.markings.size(); ++st) {
+  for (std::uint32_t st = 0; st < reach.num_markings; ++st) {
     if (!has_dummies) {
       // dense[] is the identity: the inferred code is already the state code.
       g.add_state(std::move(codes[st]));

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <unordered_map>
+
+#include "benchmarks/benchmarks.hpp"
+#include "benchmarks/generators.hpp"
 #include "petri/analysis.hpp"
 #include "petri/net.hpp"
 
 namespace {
 
 using namespace mps::petri;
+namespace benchmarks = mps::benchmarks;
 
 /// a -> p -> b -> q -> a  (two-transition ring, token on p).
 Net make_ring(Marking* m0) {
@@ -20,6 +27,23 @@ Net make_ring(Marking* m0) {
   net.connect_pt(q, a);
   *m0 = net.empty_marking();
   m0->add_token(q);
+  return net;
+}
+
+/// An unsafe net: `loop` feeds t, which puts one more token on p every
+/// firing; u drains p, but slower than t fills it.
+Net make_unsafe(Marking* m0) {
+  Net net;
+  const TransId t = net.add_transition("t");
+  const TransId u = net.add_transition("u");
+  const PlaceId p = net.add_place("p");
+  const PlaceId loop = net.add_place("loop");
+  net.connect_pt(loop, t);
+  net.connect_tp(t, loop);
+  net.connect_tp(t, p);
+  net.connect_pt(p, u);
+  *m0 = net.empty_marking();
+  m0->add_token(loop);
   return net;
 }
 
@@ -107,7 +131,7 @@ TEST(Reachability, RingHasTwoMarkings) {
   Marking m0;
   const Net net = make_ring(&m0);
   const auto r = reachability(net, m0);
-  EXPECT_EQ(r.markings.size(), 2u);
+  EXPECT_EQ(r.num_markings, 2u);
   EXPECT_EQ(r.edges.size(), 2u);
   EXPECT_TRUE(r.safe);
   EXPECT_TRUE(r.complete);
@@ -141,7 +165,7 @@ TEST(Reachability, ConcurrencyEnumeratesInterleavings) {
   m0.add_token(back);
   const auto r = reachability(net, m0);
   // back, (pa,pb), (qa,pb), (pa,qb), (qa,qb) = 5 markings.
-  EXPECT_EQ(r.markings.size(), 5u);
+  EXPECT_EQ(r.num_markings, 5u);
   EXPECT_TRUE(is_live(net, r));
 }
 
@@ -155,23 +179,131 @@ TEST(Reachability, MaxMarkingsCap) {
 }
 
 TEST(Reachability, UnsafeNetDetected) {
-  // t produces two tokens into p per firing of a one-token loop: unsafe.
-  Net net;
-  const TransId t = net.add_transition("t");
-  const TransId u = net.add_transition("u");
-  const PlaceId p = net.add_place("p");
-  const PlaceId loop = net.add_place("loop");
-  net.connect_pt(loop, t);
-  net.connect_tp(t, loop);
-  net.connect_tp(t, p);
-  net.connect_pt(p, u);  // u drains p (but slower than t fills it)
-  Marking m0 = net.empty_marking();
-  m0.add_token(loop);
+  Marking m0;
+  const Net net = make_unsafe(&m0);
   ReachabilityOptions opts;
   opts.max_tokens_per_place = 1;
   opts.max_markings = 100;
   const auto r = reachability(net, m0, opts);
   EXPECT_FALSE(r.safe);
+}
+
+/// The reference token game: a hash map from Marking to id and a frontier
+/// queue, the straightforward breadth-first search the flat engine must
+/// reproduce edge for edge.
+struct ReferenceReach {
+  std::size_t num_markings = 0;
+  std::vector<ReachabilityResult::Edge> edges;
+  bool safe = true;
+  bool complete = true;
+};
+
+ReferenceReach reference_reachability(const Net& net, const Marking& m0,
+                                      const ReachabilityOptions& opts = {}) {
+  ReferenceReach r;
+  std::vector<Marking> markings{m0};
+  std::unordered_map<Marking, std::uint32_t, MarkingHash> index{{m0, 0}};
+  for (PlaceId p = 0; p < net.num_places(); ++p) {
+    if (m0.tokens(p) > opts.max_tokens_per_place) r.safe = false;
+  }
+  std::deque<std::uint32_t> frontier{0};
+  while (!frontier.empty()) {
+    const std::uint32_t from = frontier.front();
+    frontier.pop_front();
+    const Marking m = markings[from];
+    for (TransId t : net.enabled_transitions(m)) {
+      const Marking next = net.fire(m, t);
+      for (PlaceId p : net.trans_post(t)) {
+        if (next.tokens(p) > opts.max_tokens_per_place) r.safe = false;
+      }
+      if (const auto it = index.find(next); it != index.end()) {
+        r.edges.push_back({from, t, it->second});
+        continue;
+      }
+      if (markings.size() >= opts.max_markings) {
+        r.complete = false;
+        r.num_markings = markings.size();
+        return r;
+      }
+      const auto id = static_cast<std::uint32_t>(markings.size());
+      index.emplace(next, id);
+      markings.push_back(next);
+      frontier.push_back(id);
+      r.edges.push_back({from, t, id});
+    }
+  }
+  r.num_markings = markings.size();
+  return r;
+}
+
+void expect_matches_reference(const Net& net, const Marking& m0, const ReachabilityOptions& opts,
+                              const std::string& name) {
+  const ReachabilityResult got = reachability(net, m0, opts);
+  const ReferenceReach want = reference_reachability(net, m0, opts);
+  EXPECT_EQ(got.num_markings, want.num_markings) << name;
+  EXPECT_EQ(got.safe, want.safe) << name;
+  EXPECT_EQ(got.complete, want.complete) << name;
+  ASSERT_EQ(got.edges.size(), want.edges.size()) << name;
+  for (std::size_t i = 0; i < got.edges.size(); ++i) {
+    const auto& a = got.edges[i];
+    const auto& b = want.edges[i];
+    ASSERT_TRUE(a.from == b.from && a.trans == b.trans && a.to == b.to)
+        << name << " edge " << i << ": (" << a.from << ", " << a.trans << ", " << a.to
+        << ") vs (" << b.from << ", " << b.trans << ", " << b.to << ")";
+  }
+}
+
+/// The whole exploration, then cutoffs at 1, 2 and one short of the count.
+void expect_matches_reference_with_cutoffs(const mps::stg::Stg& spec, const std::string& name) {
+  const Net& net = spec.net();
+  const Marking& m0 = spec.initial_marking();
+  expect_matches_reference(net, m0, {}, name);
+  const std::size_t count = reachability(net, m0).num_markings;
+  for (const std::size_t cutoff : {std::size_t{1}, std::size_t{2}, count - 1}) {
+    ReachabilityOptions opts;
+    opts.max_markings = cutoff;
+    expect_matches_reference(net, m0, opts, name + " cutoff " + std::to_string(cutoff));
+  }
+}
+
+TEST(Reachability, MatchesReferenceOnTable1) {
+  for (const auto& b : benchmarks::table1_benchmarks()) {
+    expect_matches_reference_with_cutoffs(b.make(), b.name);
+  }
+}
+
+TEST(Reachability, MatchesReferenceOnGenerators) {
+  expect_matches_reference_with_cutoffs(benchmarks::gen_pipeline("pipe6", 6), "pipe6");
+  expect_matches_reference_with_cutoffs(benchmarks::gen_parallelizer("par4", 4), "par4");
+  expect_matches_reference_with_cutoffs(benchmarks::gen_sequencer("seq10", 10), "seq10");
+}
+
+TEST(Reachability, MatchesReferenceOnRandomStgs) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    mps::util::Rng rng(seed);
+    expect_matches_reference_with_cutoffs(benchmarks::random_stg(rng),
+                                          "seed " + std::to_string(seed));
+  }
+}
+
+TEST(Reachability, MatchesReferenceOnUnsafeNet) {
+  Marking m0;
+  const Net net = make_unsafe(&m0);
+  for (const std::size_t cutoff : {1, 2, 99, 100}) {
+    ReachabilityOptions opts;
+    opts.max_markings = cutoff;
+    expect_matches_reference(net, m0, opts, "unsafe cutoff " + std::to_string(cutoff));
+  }
+}
+
+TEST(Reachability, TokenOverflowThrows) {
+  // p counts t's firings: the 256th token cannot be represented.
+  Marking m0;
+  const Net net = make_unsafe(&m0);
+  ReachabilityOptions opts;
+  opts.max_markings = 1000;
+  EXPECT_THROW(reachability(net, m0, opts), mps::util::SemanticsError);
+  EXPECT_THROW(reference_reachability(net, m0, opts), mps::util::SemanticsError);
 }
 
 TEST(Liveness, DeadTransitionMakesNetNotLive) {

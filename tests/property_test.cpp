@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -153,26 +156,32 @@ core::InputSetResult input_set_by_reprojection(const sg::StateGraph& g, sg::Sign
   return result;
 }
 
-/// Replay the modular flow's rounds on `input` and compare
-/// determine_input_set with the oracle for every output of every round,
-/// against that round's accumulated assignments.
-void expect_input_sets_match_oracle(const sg::StateGraph& input, const std::string& name) {
+/// Sees each output's input set in a replayed round, before its module is
+/// solved, together with the round's accumulated assignments.
+using OutputHook = std::function<void(const sg::StateGraph& g, sg::SignalId o,
+                                      const sg::Assignments& assigns,
+                                      const core::InputSetResult& isr, const std::string& where)>;
+
+/// Replay the modular flow's rounds on `input`: per round, every output's
+/// module in output order, then the rescue round on the complete graph if
+/// no module inserted anything.  Returns each round's graph and the
+/// assignments it was expanded with, in order.
+std::vector<std::pair<sg::StateGraph, sg::Assignments>> replay_modular_rounds(
+    const sg::StateGraph& input, const std::string& name, const OutputHook& on_output = {}) {
   const core::PartitionSatOptions opts;
+  std::vector<std::pair<sg::StateGraph, sg::Assignments>> rounds;
   sg::StateGraph g = sg::contract_silent(input);
   for (int round = 1; round <= core::SynthesisOptions{}.max_rounds; ++round) {
     const sg::CscResult csc = sg::analyze_csc(g);
-    if (csc.satisfied()) return;
+    if (csc.satisfied()) break;
     sg::Assignments assigns(g.num_states());
     for (sg::SignalId o = 0; o < g.num_signals(); ++o) {
       if (g.is_input(o)) continue;
-      const std::string where = name + " round " + std::to_string(round) + " output " +
-                                g.signal(o).name;
       const core::InputSetResult isr = core::determine_input_set(g, o, assigns);
-      const core::InputSetResult oracle = input_set_by_reprojection(g, o, assigns);
-      EXPECT_EQ(isr.kept.to_string(), oracle.kept.to_string()) << where;
-      EXPECT_EQ(isr.kept_state_signals, oracle.kept_state_signals) << where;
-      EXPECT_EQ(isr.module_conflicts, oracle.module_conflicts) << where;
-      EXPECT_EQ(isr.module_lower_bound, oracle.module_lower_bound) << where;
+      if (on_output) {
+        on_output(g, o, assigns, isr,
+                  name + " round " + std::to_string(round) + " output " + g.signal(o).name);
+      }
       const core::ModuleGraph module = core::build_module(g, o, isr, assigns);
       if (module.conflicts.empty()) continue;
       const core::PartitionSatResult psr = core::partition_sat(module, "m", opts);
@@ -182,11 +191,29 @@ void expect_input_sets_match_oracle(const sg::StateGraph& input, const std::stri
       std::vector<core::FormulaStat> formulas;
       if (core::direct_round(g, csc, opts.encode, opts.solve, "rescue", &assigns, &formulas) !=
           sat::Outcome::Sat) {
-        return;
+        break;
       }
     }
-    g = sg::expand(g, assigns).graph;
+    sg::StateGraph next = sg::expand(g, assigns).graph;
+    rounds.emplace_back(std::move(g), std::move(assigns));
+    g = std::move(next);
   }
+  return rounds;
+}
+
+/// Compare determine_input_set with the oracle for every output of every
+/// replayed round, against that round's accumulated assignments.
+void expect_input_sets_match_oracle(const sg::StateGraph& input, const std::string& name) {
+  replay_modular_rounds(input, name,
+                        [](const sg::StateGraph& g, sg::SignalId o, const sg::Assignments& assigns,
+                           const core::InputSetResult& isr, const std::string& where) {
+                          const core::InputSetResult oracle =
+                              input_set_by_reprojection(g, o, assigns);
+                          EXPECT_EQ(isr.kept.to_string(), oracle.kept.to_string()) << where;
+                          EXPECT_EQ(isr.kept_state_signals, oracle.kept_state_signals) << where;
+                          EXPECT_EQ(isr.module_conflicts, oracle.module_conflicts) << where;
+                          EXPECT_EQ(isr.module_lower_bound, oracle.module_lower_bound) << where;
+                        });
 }
 
 TEST(InputSet, IncrementalMatchesFullReprojection) {
@@ -202,6 +229,91 @@ TEST(InputSet, IncrementalMatchesFullReprojection) {
   for (const std::uint64_t seed : kRandomSeeds) {
     expect_input_sets_match_oracle(random_graph(seed), "seed " + std::to_string(seed));
   }
+}
+
+/// The reference expansion: a map from (original state, phase word) to
+/// expanded id and a frontier queue, the straightforward breadth-first
+/// search sg::expand must reproduce state for state and edge for edge.
+sg::Expansion reference_expand(const sg::StateGraph& g, const sg::Assignments& assigns) {
+  const std::size_t m = assigns.num_signals();
+  std::vector<sg::SignalInfo> infos = g.signals();
+  const auto base = static_cast<sg::SignalId>(infos.size());
+  for (std::size_t k = 0; k < m; ++k) infos.push_back({assigns.name(k), false});
+  sg::Expansion result;
+  result.graph = sg::StateGraph(std::move(infos));
+  std::map<std::pair<sg::StateId, std::uint64_t>, sg::StateId> index;
+  std::vector<std::uint64_t> phases_of;
+  std::deque<sg::StateId> frontier;
+  const auto intern = [&](sg::StateId orig, std::uint64_t phases) {
+    const auto [it, fresh] = index.try_emplace({orig, phases}, result.graph.num_states());
+    if (!fresh) return it->second;
+    util::BitVec code = g.code(orig);
+    code.resize(g.num_signals() + m);
+    for (std::size_t k = 0; k < m; ++k) code.set(base + k, (phases >> k) & 1);
+    result.graph.add_state(std::move(code));
+    result.origin.push_back(orig);
+    phases_of.push_back(phases);
+    frontier.push_back(it->second);
+    return it->second;
+  };
+  std::uint64_t init_phases = 0;
+  for (std::size_t k = 0; k < m; ++k) {
+    if (sg::phase_of(assigns.value(k, g.initial()))) init_phases |= std::uint64_t{1} << k;
+  }
+  result.graph.set_initial(intern(g.initial(), init_phases));
+  while (!frontier.empty()) {
+    const sg::StateId cur = frontier.front();
+    frontier.pop_front();
+    const sg::StateId orig = result.origin[cur];
+    const std::uint64_t phases = phases_of[cur];
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::uint64_t bit = std::uint64_t{1} << k;
+      const sg::V4 v = assigns.value(k, orig);
+      if (v == sg::V4::Up && (phases & bit) == 0) {
+        const sg::StateId to = intern(orig, phases | bit);
+        result.graph.add_edge(cur, sg::Edge{static_cast<sg::SignalId>(base + k), true, to});
+      } else if (v == sg::V4::Down && (phases & bit) != 0) {
+        const sg::StateId to = intern(orig, phases & ~bit);
+        result.graph.add_edge(cur, sg::Edge{static_cast<sg::SignalId>(base + k), false, to});
+      }
+    }
+    for (const sg::Edge& e : g.out(orig)) {
+      bool ok = true;
+      for (std::size_t k = 0; k < m && ok; ++k) {
+        ok = sg::entry_phase_ok(assigns.value(k, e.to), (phases >> k) & 1);
+      }
+      if (ok) result.graph.add_edge(cur, sg::Edge{e.sig, e.rise, intern(e.to, phases)});
+    }
+  }
+  return result;
+}
+
+/// sg::expand gives the reference's states (codes and origins, by id) and
+/// edges (in order) on every replayed round of the modular flow on `input`.
+void expect_expansions_match_reference(const sg::StateGraph& input, const std::string& name) {
+  const auto rounds = replay_modular_rounds(input, name);
+  EXPECT_FALSE(rounds.empty()) << name;
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const auto& [g, assigns] = rounds[r];
+    const std::string where = name + " round " + std::to_string(r + 1);
+    const sg::Expansion got = sg::expand(g, assigns);
+    const sg::Expansion want = reference_expand(g, assigns);
+    ASSERT_EQ(got.graph.num_states(), want.graph.num_states()) << where;
+    EXPECT_EQ(got.graph.num_signals(), want.graph.num_signals()) << where;
+    EXPECT_EQ(got.graph.initial(), want.graph.initial()) << where;
+    EXPECT_EQ(got.origin, want.origin) << where;
+    for (sg::StateId s = 0; s < got.graph.num_states(); ++s) {
+      ASSERT_EQ(got.graph.code(s), want.graph.code(s)) << where << " state " << s;
+      ASSERT_EQ(got.graph.out(s), want.graph.out(s)) << where << " state " << s;
+    }
+  }
+}
+
+TEST(Expand, MatchesReferenceOnModularRounds) {
+  expect_expansions_match_reference(
+      sg::StateGraph::from_stg(benchmarks::find_benchmark("mr0")->make()), "mr0");
+  expect_expansions_match_reference(
+      sg::StateGraph::from_stg(benchmarks::gen_pipeline("pipe6", 6)), "pipe6");
 }
 
 /// sg::code_classes partitions the states of `g`: every state in exactly
