@@ -84,21 +84,32 @@ void BM_AndThenExists(benchmark::State& state) {
 }
 BENCHMARK(BM_AndThenExists);
 
-void BM_SymbolicReach(benchmark::State& state) {
-  const int stages = static_cast<int>(state.range(0));
-  const stg::Stg spec = benchmarks::gen_pipeline("pipe", stages);
+/// Reachability on a fresh engine.  `sweeps` is the number of chained sweeps
+/// (num_iterations(); a counter named "iterations" would collide with the
+/// benchmark's own field) and `nodes` the manager's final node count.
+void BM_SymbolicReach(benchmark::State& state, const stg::Stg& spec) {
   double states_reached = 0;
+  std::size_t sweeps = 0, nodes = 0;
   for (auto _ : state) {
     bdd::SymbolicStg sym(spec);
     states_reached = sym.num_states();
     benchmark::DoNotOptimize(states_reached);
+    sweeps = sym.num_iterations();
+    nodes = sym.manager().num_nodes();
   }
   state.counters["states"] = states_reached;
+  state.counters["sweeps"] = static_cast<double>(sweeps);
+  state.counters["nodes"] = static_cast<double>(nodes);
 }
-BENCHMARK(BM_SymbolicReach)->Arg(8)->Arg(12);
+void BM_SymbolicReach(benchmark::State& state) {
+  BM_SymbolicReach(state, benchmarks::gen_pipeline("pipe", static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_SymbolicReach)->Arg(8)->Arg(12)->Arg(18);
+// 3,128 states, but the widest intermediate BDDs of the generated families.
+BENCHMARK_CAPTURE(BM_SymbolicReach, par5, benchmarks::gen_parallelizer("par", 5));
 
 /// Freeing the engine after a pipeline run: the manager's node array and
-/// its unique and memo tables (pipe12: 2.2·10^5 nodes, 4.7·10^5 memo
+/// its unique and memo tables (pipe12: 2.8·10^4 nodes, 7.9·10^4 memo
 /// entries).  Only the destruction is timed.
 void BM_ManagerTeardown(benchmark::State& state) {
   const int stages = static_cast<int>(state.range(0));

@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
         const bdd::CscVerdict v = sym.check_csc();
         holds = v.holds;
         conflicts = v.conflicts.size();
-        detail = " iterations=" + std::to_string(sym.num_iterations()) +
+        detail = " sweeps=" + std::to_string(sym.num_iterations()) +
                  " nodes=" + std::to_string(sym.manager().num_nodes());
       } else {
         const sg::StateGraph g = sg::StateGraph::from_stg(spec);

@@ -176,8 +176,10 @@ void SymbolicStg::compile() {
                                "' is not safe (a place holds >1 token)");
   }
 
-  // One partition per net transition; the relation constrains exactly the
-  // touched bits (pre/post places plus the labelled signal).
+  // One partition per net transition, in transition-id order: check_csc
+  // indexes parts_ by transition id, and reachable() chains the parts in
+  // this order.  The relation constrains exactly the touched bits (pre/post
+  // places plus the labelled signal).
   parts_.reserve(net.num_transitions());
   std::vector<std::uint32_t> cube_vars;
   // (var, required value) literals, plus an optional toggle pair.
@@ -243,6 +245,7 @@ void SymbolicStg::compile() {
     for (const std::uint32_t v : pre_vars) pre_cube = mgr_.ite(mgr_.var(v), pre_cube, kFalse);
 
     parts_.push_back(Part{t, rel, mgr_.cube(cube_vars), pre_cube});
+    MPS_ASSERT(parts_[t].trans == t);
   }
 
   // Initial state: minterm of (M0, initial code) over current variables.
@@ -285,45 +288,54 @@ NodeId SymbolicStg::reachable() {
   compile();
   gc_trigger_ = opts_.gc_node_threshold;
 
+  // Chaining: each part fires into the set the parts before it have grown.
+  // `from` is what the sweep images, the previous sweep's discoveries plus
+  // its own; `next` carries its own discoveries to the parts before their
+  // discoverer.  A sweep that finds nothing leaves every reached state
+  // imaged by every part.
   NodeId r = s0_;
   NodeId frontier = s0_;
-  std::size_t iter = 0;
+  std::size_t sweep = 0;
   while (frontier != kFalse) {
-    obs::Span img("bdd.image");
-    ++iter;
-    if (opts_.max_iterations != 0 && iter > opts_.max_iterations) {
+    obs::Span sweep_span("bdd.sweep");
+    ++sweep;
+    if (opts_.max_iterations != 0 && sweep > opts_.max_iterations) {
       throw util::LimitError("bdd: symbolic reachability of '" + stg_.name() + "' exceeded " +
-                             std::to_string(opts_.max_iterations) + " image iterations");
+                             std::to_string(opts_.max_iterations) + " sweeps");
     }
+    NodeId from = frontier;
     NodeId next = kFalse;
     for (const Part& part : parts_) {
-      // Img_t(frontier) = rename(∃ touched. frontier ∧ T_t): the relational
-      // product quantifies the touched current variables on the fly, the
-      // rename maps the touched next variables back to current; untouched
-      // bits pass through unframed.
-      next = mgr_.bdd_or(
-          next, mgr_.rename_shift_down(mgr_.and_exists(frontier, part.rel, part.cube)));
+      // Img_t(from) = rename(∃ touched. from ∧ T_t): the relational product
+      // quantifies the touched current variables on the fly, the rename
+      // maps the touched next variables back to current; untouched bits
+      // pass through unframed.  fresh = Img_t(from) ∧ ¬R in one ITE.
+      const NodeId img = mgr_.rename_shift_down(mgr_.and_exists(from, part.rel, part.cube));
+      const NodeId fresh = mgr_.ite(r, kFalse, img);
+      if (fresh != kFalse) {
+        r = mgr_.bdd_or(r, fresh);
+        from = mgr_.bdd_or(from, fresh);
+        next = mgr_.bdd_or(next, fresh);
+      }
+      if (gc_trigger_ != 0 && mgr_.num_nodes() > gc_trigger_) {
+        std::vector<NodeId*> roots{&r, &from, &next, &frontier};
+        collect_roots(&roots);
+        mgr_.gc(roots);
+        // Re-arm above the live size so a dense reached set cannot thrash GC.
+        gc_trigger_ = std::max(opts_.gc_node_threshold, 2 * mgr_.num_nodes());
+      }
     }
-    frontier = mgr_.bdd_and(next, mgr_.bdd_not(r));
-    r = mgr_.bdd_or(r, frontier);
-    img.arg("iteration", static_cast<std::int64_t>(iter));
-    img.arg("nodes", static_cast<std::int64_t>(mgr_.num_nodes()));
-
-    if (gc_trigger_ != 0 && mgr_.num_nodes() > gc_trigger_) {
-      std::vector<NodeId*> roots{&r, &frontier, &next};
-      collect_roots(&roots);
-      mgr_.gc(roots);
-      // Re-arm above the live size so a dense reached set cannot thrash GC.
-      gc_trigger_ = std::max(opts_.gc_node_threshold, 2 * mgr_.num_nodes());
-    }
+    frontier = next;
+    sweep_span.arg("sweep", static_cast<std::int64_t>(sweep));
+    sweep_span.arg("nodes", static_cast<std::int64_t>(mgr_.num_nodes()));
   }
-  iterations_ = iter;
+  iterations_ = sweep;
   check_safety_and_consistency(r);
   r_ = r;
   reached_ = true;
 
   const Manager::Stats after = mgr_.stats();
-  span.arg("iterations", static_cast<std::int64_t>(iter));
+  span.arg("sweeps", static_cast<std::int64_t>(sweep));
   span.arg("nodes", static_cast<std::int64_t>(mgr_.num_nodes()));
   span.arg("unique_size", static_cast<std::int64_t>(mgr_.unique_size()));
   span.arg("gc_runs", static_cast<std::int64_t>(after.gc_runs - before.gc_runs));

@@ -26,9 +26,13 @@
 //       Img_t(S) = rename_next→current(∃ touched(t). S ∧ T_t)
 //       Img(S)   = ∨_t Img_t(S)
 //
-//   * Frontier-based fixed point: each iteration computes the image of the
-//     newly discovered states only, with mark-and-sweep GC between
-//     iterations once the node table crosses a threshold.
+//   * Chained fixed point (Roig, Cortadella & Pastor): a sweep fires the
+//     parts one after another in transition-id order, each into the reached
+//     set the parts before it have already grown, so one sweep covers many
+//     BFS layers; the first sweep images the initial state, each later one
+//     the states the previous sweep discovered, and a sweep that discovers
+//     nothing ends it.  Mark-and-sweep GC may run after any part once the
+//     node table crosses a threshold.
 //
 //   * CSC without enumeration: for each non-input signal u the implied
 //     next value F_u is a small formula over current variables
@@ -39,7 +43,7 @@
 // Error contract mirrors sg::StateGraph::from_stg: util::SemanticsError
 // for unsafe nets and inconsistent state assignments (detected
 // symbolically on the reached set), util::LimitError when the node
-// budget or the iteration cap is exceeded.
+// budget or the sweep cap is exceeded.
 #pragma once
 
 #include <cstdint>
@@ -54,10 +58,11 @@ namespace mps::bdd {
 struct SymbolicOptions {
   /// Manager node budget (util::LimitError beyond it); 0 = unlimited.
   std::size_t max_nodes = 0;
-  /// Run mark-and-sweep GC between image iterations once the node table
+  /// Run mark-and-sweep GC after a part's image once the node table
   /// exceeds this many nodes; 0 disables GC.
   std::size_t gc_node_threshold = 1u << 20;
-  /// Cap on image iterations (≥ state-space diameter needed); 0 = none.
+  /// Cap on chained sweeps over the partitions (util::LimitError beyond
+  /// it); 0 = none.
   std::size_t max_iterations = 0;
 };
 
@@ -87,7 +92,8 @@ class SymbolicStg {
   NodeId reachable();
   /// Number of reachable states (= reachable safe markings).
   double num_states();
-  /// Image iterations the fixed point took (valid after reachable()).
+  /// Chained sweeps the fixed point took, the last one finding nothing new
+  /// (valid after reachable()).
   std::size_t num_iterations() const { return iterations_; }
 
   /// Characteristic function of the reachable *codes*: ∃places. R, over

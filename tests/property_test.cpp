@@ -12,6 +12,7 @@
 #include <string>
 #include <tuple>
 
+#include "bdd/symbolic.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "benchmarks/generators.hpp"
 #include "core/input_set.hpp"
@@ -34,11 +35,15 @@ namespace {
 
 using namespace mps;
 
-sg::StateGraph random_graph(std::uint64_t seed, int signals = 6) {
+stg::Stg random_spec(std::uint64_t seed, int signals = 6) {
   util::Rng rng(seed);
   benchmarks::RandomStgOptions opts;
   opts.num_signals = signals;
-  return sg::StateGraph::from_stg(benchmarks::random_stg(rng, opts));
+  return benchmarks::random_stg(rng, opts);
+}
+
+sg::StateGraph random_graph(std::uint64_t seed, int signals = 6) {
+  return sg::StateGraph::from_stg(random_spec(seed, signals));
 }
 
 /// Soundness of partition_sat's separability certificate on the first-round
@@ -363,7 +368,37 @@ TEST(CodeClasses, PartitionStatesInCodeOrder) {
   }
 }
 
+/// The symbolic engine against the explicit one on `spec`: the same number
+/// of reachable states, every explicit code reachable symbolically, and the
+/// same CSC verdict.
+void expect_symbolic_matches_explicit(const stg::Stg& spec, const std::string& name) {
+  const sg::StateGraph g = sg::StateGraph::from_stg(spec);
+  bdd::SymbolicStg sym(spec);
+  EXPECT_EQ(sym.num_states(), static_cast<double>(g.num_states())) << name;
+  for (sg::StateId s = 0; s < g.num_states(); ++s) {
+    ASSERT_TRUE(sym.code_reachable(g.code(s))) << name << " state " << s;
+  }
+  EXPECT_EQ(sym.check_csc().holds, sg::analyze_csc(g).satisfied()) << name;
+}
+
+TEST(SymbolicReach, MatchesExplicitOnGenerators) {
+  for (int stages = 6; stages <= 9; ++stages) {
+    expect_symbolic_matches_explicit(benchmarks::gen_pipeline("pipe", stages),
+                                     "pipeline:" + std::to_string(stages));
+  }
+  for (int channels = 4; channels <= 5; ++channels) {
+    expect_symbolic_matches_explicit(benchmarks::gen_parallelizer("par", channels),
+                                     "parallelizer:" + std::to_string(channels));
+  }
+  expect_symbolic_matches_explicit(benchmarks::gen_sequencer("seq", 10), "sequencer:10");
+  expect_symbolic_matches_explicit(benchmarks::gen_toggle_ring("ring", 3), "toggle:3");
+}
+
 class RandomStgProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomStgProperty, SymbolicReachMatchesExplicit) {
+  expect_symbolic_matches_explicit(random_spec(GetParam()), "seed " + std::to_string(GetParam()));
+}
 
 TEST_P(RandomStgProperty, SeparabilityCertificateIsSound) {
   expect_certificate_sound(random_graph(GetParam()), "seed " + std::to_string(GetParam()));
