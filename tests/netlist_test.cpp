@@ -4,6 +4,9 @@
 // passes good circuits.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/synthesis.hpp"
 #include "netlist/build.hpp"
 #include "netlist/netlist.hpp"
@@ -216,8 +219,9 @@ TEST(VerifySi, DetectsNonConformingGate) {
   const auto si = netlist::verify_speed_independence(n, g);
   EXPECT_FALSE(si.ok());
   EXPECT_FALSE(si.conforms);
-  ASSERT_FALSE(si.trace.empty());
-  EXPECT_EQ(si.trace.back(), "a+");
+  EXPECT_EQ(si.trace, (std::vector<std::string>{"a+"}));
+  ASSERT_FALSE(si.issues.empty());
+  EXPECT_EQ(si.issues.front(), "circuit fires a+ which the specification does not enable here");
 }
 
 TEST(VerifySi, DetectsHazardOnInternalNode) {
@@ -260,7 +264,10 @@ TEST(VerifySi, DetectsHazardOnInternalNode) {
   const auto si = netlist::verify_speed_independence(n, g);
   EXPECT_FALSE(si.ok());
   EXPECT_FALSE(si.hazard_free);
-  EXPECT_FALSE(si.trace.empty());
+  EXPECT_EQ(si.trace, (std::vector<std::string>{"a+", "b+"}));
+  ASSERT_FALSE(si.issues.empty());
+  EXPECT_EQ(si.issues.front(),
+            "hazard: gate driving e excited then disabled by b+ (composed state 1)");
 }
 
 TEST(VerifySi, DetectsPrematureQuiescence) {
@@ -280,6 +287,9 @@ TEST(VerifySi, DetectsPrematureQuiescence) {
   const auto si = netlist::verify_speed_independence(n, g);
   EXPECT_FALSE(si.ok());
   EXPECT_FALSE(si.quiescence_ok);
+  EXPECT_EQ(si.trace, (std::vector<std::string>{"a+", "b+"}));
+  ASSERT_FALSE(si.issues.empty());
+  EXPECT_EQ(si.issues.front(), "circuit is quiescent but the spec still requires c+");
 }
 
 TEST(VerifySi, ReportsBindingFailures) {
