@@ -23,6 +23,10 @@ BENCHMARK_CAPTURE(BM_StateGraphFromStg, par4, benchmarks::gen_parallelizer("par"
 // 39,368 states: large enough for the marking store to dominate.
 BENCHMARK_CAPTURE(BM_StateGraphFromStg, pipe9, benchmarks::gen_pipeline("pipe9", 9))
     ->Unit(benchmark::kMillisecond);
+// 118,100 states, csc-scale's middle explicit input: codes and edges past
+// the token game show.
+BENCHMARK_CAPTURE(BM_StateGraphFromStg, pipe10, benchmarks::gen_pipeline("pipe10", 10))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Reachability(benchmark::State& state, const stg::Stg& spec) {
   for (auto _ : state) {
@@ -112,6 +116,21 @@ void BM_SemiModularityCheck(benchmark::State& state, const char* name) {
   }
 }
 BENCHMARK_CAPTURE(BM_SemiModularityCheck, mr0, "mr0");
+
+/// The gate-level SI search on the final netlist of a modular run.
+void BM_VerifySi(benchmark::State& state, const stg::Stg& spec) {
+  const auto r = core::modular_synthesis(sg::StateGraph::from_stg(spec));
+  const auto n = netlist::build_netlist(r.final_graph, r.covers);
+  std::size_t composed = 0;
+  for (auto _ : state) {
+    const auto si = netlist::verify_speed_independence(n, r.final_graph);
+    composed = si.states_explored;
+    benchmark::DoNotOptimize(si.ok());
+  }
+  state.counters["composed_states"] = static_cast<double>(composed);
+}
+BENCHMARK_CAPTURE(BM_VerifySi, pipe6, benchmarks::gen_pipeline("pipe6", 6))
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

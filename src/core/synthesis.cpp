@@ -77,8 +77,16 @@ std::size_t derive_all_logic(const sg::StateGraph& g, const logic::MinimizeOptio
   const sg::CodeClasses classes = sg::code_classes(g);
   for (sg::SignalId s = 0; s < g.num_signals(); ++s) {
     if (g.is_input(s)) continue;
-    const logic::SopSpec spec = logic::extract_next_state(g, s, classes);
+    const logic::SopSpec spec = [&] {
+      obs::Span span("logic.extract", g.signal(s).name);
+      logic::SopSpec extracted = logic::extract_next_state(g, s, classes);
+      span.arg("on", static_cast<std::int64_t>(extracted.on.size()));
+      span.arg("off", static_cast<std::int64_t>(extracted.off.size()));
+      return extracted;
+    }();
+    obs::Span span("logic.minimize", g.signal(s).name);
     logic::Cover cover = logic::minimize(spec, opts);
+    span.arg("cubes", static_cast<std::int64_t>(cover.size()));
     total += cover.literal_count();
     if (covers != nullptr) covers->emplace_back(g.signal(s).name, std::move(cover));
   }

@@ -1,12 +1,12 @@
 #include "netlist/verify_si.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
+#include <cstring>
 
 #include "obs/obs.hpp"
 #include "util/bitvec.hpp"
 #include "util/common.hpp"
+#include "util/id_table.hpp"
 #include "util/text.hpp"
 
 namespace mps::netlist {
@@ -24,24 +24,17 @@ struct GateEval {
   bool constant_one = false;    ///< kSop with a universal cube
 };
 
-/// A composed state: spec state plus every wire value.
-struct Key {
-  sg::StateId q = 0;
-  util::BitVec wires;
+bool bit(const std::uint64_t* words, std::size_t i) { return (words[i >> 6] >> (i & 63)) & 1u; }
 
-  bool operator==(const Key& o) const { return q == o.q && wires == o.wires; }
-};
-
-struct KeyHash {
-  std::size_t operator()(const Key& k) const {
-    return static_cast<std::size_t>(util::hash_combine(k.q, k.wires.hash()));
-  }
-};
-
+/// Breadth-first search over composed states (spec state × every wire
+/// value), stored flat and interned on util::IdTable: state `id` is spec
+/// state q_[id] with wire words wires_[id * stride_, (id + 1) * stride_).
+/// Ids are handed out in discovery order, so walking them is the BFS.
 class Search {
  public:
   Search(const Netlist& n, const sg::StateGraph& spec, SiResult* result)
-      : n_(n), spec_(spec), r_(*result) {}
+      : n_(n), spec_(spec), r_(*result), stride_((n.num_wires() + 63) / 64),
+        affected_(n.num_wires()), cur_(stride_), next_(stride_), excited_(n.num_gates()) {}
 
   bool bind() {
     wire_of_sig_.assign(spec_.num_signals(), kNoWire);
@@ -90,26 +83,33 @@ class Search {
         ev.cubes.push_back(m);
       }
     }
+    // A move of wire w can change the excitation of w's readers and driver
+    // only; each list ascends, as the gates do.
+    for (std::size_t i = 0; i < n_.num_gates(); ++i) {
+      for (const WireId f : n_.gate(i).fanins) affected_[f].push_back(i);
+      affected_[n_.gate(i).out].push_back(i);
+    }
+    for (auto& gates : affected_) gates.erase(std::unique(gates.begin(), gates.end()), gates.end());
   }
 
-  bool next_value(std::size_t gate_idx, const util::BitVec& wires) const {
+  bool next_value(std::size_t gate_idx, const std::uint64_t* wires) const {
     const Gate& g = n_.gate(gate_idx);
     if (g.kind == GateKind::kC) {
-      const bool set = wires.test(g.fanins[0]);
-      const bool reset = wires.test(g.fanins[1]);
+      const bool set = bit(wires, g.fanins[0]);
+      const bool reset = bit(wires, g.fanins[1]);
       // Both active is a normal transient under unbounded delays (the old
       // phase's network may still be stale when the new one rises); the
       // latch holds.  What must not happen — the latch losing an excitation
       // because the opposing network rose first — is caught as a disabling
       // by hazard_ok.
-      if (set == reset) return wires.test(g.out);  // hold
+      if (set == reset) return bit(wires, g.out);  // hold
       return set;
     }
     const GateEval& ev = evals_[gate_idx];
     if (ev.constant_one) return true;
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      if (wires.test(g.fanins[i])) v |= std::uint64_t{1} << i;
+      if (bit(wires, g.fanins[i])) v |= std::uint64_t{1} << i;
     }
     for (const CubeMask& m : ev.cubes) {
       if ((v & m.ones) == m.ones && (v & m.zeros) == 0) return true;
@@ -117,54 +117,53 @@ class Search {
     return false;
   }
 
-  /// Gates whose next value differs from their output wire.
-  util::BitVec excited(const util::BitVec& wires) const {
-    util::BitVec e(n_.num_gates());
-    for (std::size_t i = 0; i < n_.num_gates(); ++i) {
-      if (next_value(i, wires) != wires.test(n_.gate(i).out)) e.set(i);
-    }
-    return e;
+  /// Whether gate i's next value differs from its output wire.
+  bool excited(std::size_t i, const std::uint64_t* wires) const {
+    return next_value(i, wires) != bit(wires, n_.gate(i).out);
   }
 
   std::string label_of(WireId w, bool new_value) const {
     return n_.wire(w).name + (new_value ? "+" : "-");
   }
 
-  void fail_with_trace(std::size_t state_idx, const std::string& label) {
+  /// The moves from the initial state to `state`, then `last` if not empty.
+  void fail_with_trace(std::size_t state, const std::string& last) {
     std::vector<std::string> trace;
-    if (!label.empty()) trace.push_back(label);
-    for (std::size_t i = state_idx; parent_[i].first != Netlist::npos; i = parent_[i].first) {
-      trace.push_back(parent_[i].second);
+    if (!last.empty()) trace.push_back(last);
+    for (std::size_t i = state; parent_[i].from != util::IdTable::kNone; i = parent_[i].from) {
+      trace.push_back(label_of(parent_[i].wire, parent_[i].value));
     }
     std::reverse(trace.begin(), trace.end());
     r_.trace = std::move(trace);
   }
 
-  /// Check one transition `from -> to` (label, fired gate or npos for an
-  /// environment move) for implementation-introduced disablings.  Returns
-  /// false (and fills the result) on a hazard.
-  bool hazard_ok(const Key& from, const util::BitVec& from_excited, const Key& to,
-                 std::size_t fired, std::size_t from_idx, const std::string& label) {
-    const util::BitVec to_excited = excited(to.wires);
-    for (std::size_t h = 0; h < n_.num_gates(); ++h) {
-      if (h == fired || !from_excited.test(h) || to_excited.test(h)) continue;
-      const WireId w = n_.gate(h).out;
-      const sg::SignalId o = sig_of_wire_[w];
+  /// Take the move of wire `w` to `new_value` (by gate `fired`, or npos for
+  /// an environment move) from state `cur` = (q_cur_, cur_) to (next_q,
+  /// next_): check it for implementation-introduced disablings, then intern
+  /// the target.  False (with the result filled) ends the search.
+  bool move(sg::StateId next_q, std::size_t fired, std::size_t cur, WireId w, bool new_value) {
+    next_ = cur_;
+    next_[w >> 6] ^= std::uint64_t{1} << (w & 63);
+    for (const std::size_t h : affected_[w]) {
+      if (h == fired || !excited_.test(h) || excited(h, next_.data())) continue;
+      const WireId hw = n_.gate(h).out;
+      const sg::SignalId o = sig_of_wire_[hw];
       if (o != stg::kNoSignal) {
         // Sanctioned iff the spec itself performs this disabling: o was
-        // enabled (in the gate's pending direction) at `from.q` and is no
-        // longer at `to.q`.
-        const bool dir = !from.wires.test(w);
-        if (spec_.excited_dir(from.q, o, dir) && !spec_.excited_dir(to.q, o, dir)) continue;
+        // enabled (in the gate's pending direction) at `q_cur_` and is no
+        // longer at `next_q`.
+        const bool dir = !bit(cur_.data(), hw);
+        if (spec_.excited_dir(q_cur_, o, dir) && !spec_.excited_dir(next_q, o, dir)) continue;
       }
+      const std::string label = label_of(w, new_value);
       r_.hazard_free = false;
       r_.issues.push_back(util::format(
           "hazard: gate driving %s excited then disabled by %s (composed state %zu)",
-          n_.wire(w).name.c_str(), label.c_str(), from_idx));
-      fail_with_trace(from_idx, label);
+          n_.wire(hw).name.c_str(), label.c_str(), cur));
+      fail_with_trace(cur, label);
       return false;
     }
-    return true;
+    return enqueue(next_q, {static_cast<std::uint32_t>(cur), w, new_value});
   }
 
   void run() {
@@ -173,41 +172,35 @@ class Search {
     // Initial wires: externals take the spec's initial code; internal
     // nodes relax to a fixpoint of their gate functions (acyclic internal
     // logic settles; anything still excited is explored by the search).
-    Key init;
-    init.q = spec_.initial();
-    init.wires.resize(n_.num_wires());
+    util::BitVec init(n_.num_wires());
     for (sg::SignalId s = 0; s < spec_.num_signals(); ++s) {
-      init.wires.set(wire_of_sig_[s], spec_.value(init.q, s));
+      init.set(wire_of_sig_[s], spec_.value(spec_.initial(), s));
     }
     for (std::size_t pass = 0; pass <= n_.num_gates(); ++pass) {
       bool changed = false;
       for (std::size_t i = 0; i < n_.num_gates(); ++i) {
         const WireId w = n_.gate(i).out;
         if (sig_of_wire_[w] != stg::kNoSignal) continue;  // external: spec-pinned
-        const bool v = next_value(i, init.wires);
-        if (v != init.wires.test(w)) {
-          init.wires.set(w, v);
+        const bool v = next_value(i, init.words().data());
+        if (v != init.test(w)) {
+          init.set(w, v);
           changed = true;
         }
       }
       if (!changed) break;
     }
+    std::ranges::copy(init.words(), next_.begin());
+    enqueue(spec_.initial(), {util::IdTable::kNone, kNoWire, false});
 
-    states_.push_back(init);
-    parent_.emplace_back(Netlist::npos, "");
-    index_.emplace(init, 0);
-    std::deque<std::size_t> frontier{0};
-
-    while (!frontier.empty()) {
-      const std::size_t cur = frontier.front();
-      frontier.pop_front();
-      const Key key = states_[cur];  // copy: states_ may reallocate below
+    for (std::size_t cur = 0; cur < q_.size(); ++cur) {
+      // Copies: the store may reallocate as moves are interned.
+      q_cur_ = q_[cur];
+      std::copy_n(wires_.begin() + cur * stride_, stride_, cur_.begin());
       ++r_.states_explored;
+      for (std::size_t i = 0; i < n_.num_gates(); ++i) excited_.set(i, excited(i, cur_.data()));
 
-      const util::BitVec exc = excited(key.wires);
-
-      if (exc.count() == 0) {
-        for (const sg::Edge& e : spec_.out(key.q)) {
+      if (excited_.count() == 0) {
+        for (const sg::Edge& e : spec_.out(q_cur_)) {
           if (!spec_.is_input(e.sig)) {
             r_.quiescence_ok = false;
             r_.issues.push_back("circuit is quiescent but the spec still requires " +
@@ -221,30 +214,23 @@ class Search {
       // Gate moves first (a non-conforming gate is reported as the root
       // cause, not as a hazard of some environment move explored earlier);
       // every excited gate may fire.
-      for (std::size_t gi = exc.find_first(); gi != util::BitVec::npos;
-           gi = exc.find_next(gi)) {
+      for (std::size_t gi = excited_.find_first(); gi != util::BitVec::npos;
+           gi = excited_.find_next(gi)) {
         const WireId w = n_.gate(gi).out;
-        const bool new_value = !key.wires.test(w);
-        const std::string label = label_of(w, new_value);
+        const bool new_value = !bit(cur_.data(), w);
         const sg::SignalId o = sig_of_wire_[w];
         if (o == stg::kNoSignal) {
-          Key next = key;
-          next.wires.flip(w);
-          if (!hazard_ok(key, exc, next, gi, cur, label)) return;
-          if (!enqueue(std::move(next), cur, label, &frontier)) return;
+          if (!move(q_cur_, gi, cur, w, new_value)) return;
           continue;
         }
         bool matched = false;
-        for (const sg::Edge& e : spec_.out(key.q)) {
+        for (const sg::Edge& e : spec_.out(q_cur_)) {
           if (e.sig != o || e.rise != new_value) continue;
           matched = true;
-          Key next = key;
-          next.q = e.to;
-          next.wires.flip(w);
-          if (!hazard_ok(key, exc, next, gi, cur, label)) return;
-          if (!enqueue(std::move(next), cur, label, &frontier)) return;
+          if (!move(e.to, gi, cur, w, new_value)) return;
         }
         if (!matched) {
+          const std::string label = label_of(w, new_value);
           r_.conforms = false;
           r_.issues.push_back("circuit fires " + label +
                               " which the specification does not enable here");
@@ -254,48 +240,63 @@ class Search {
       }
 
       // Environment moves: the spec's input transitions.
-      for (const sg::Edge& e : spec_.out(key.q)) {
+      for (const sg::Edge& e : spec_.out(q_cur_)) {
         if (!spec_.is_input(e.sig)) continue;
         const WireId w = wire_of_sig_[e.sig];
-        MPS_ASSERT(key.wires.test(w) == !e.rise);
-        Key next = key;
-        next.q = e.to;
-        next.wires.flip(w);
-        const std::string label = label_of(w, e.rise);
-        if (!hazard_ok(key, exc, next, Netlist::npos, cur, label)) return;
-        if (!enqueue(std::move(next), cur, label, &frontier)) return;
+        MPS_ASSERT(bit(cur_.data(), w) == !e.rise);
+        if (!move(e.to, Netlist::npos, cur, w, e.rise)) return;
       }
     }
     r_.complete = true;
   }
 
  private:
-  bool enqueue(Key next, std::size_t from, const std::string& label,
-               std::deque<std::size_t>* frontier) {
-    const auto [it, inserted] = index_.emplace(next, states_.size());
-    if (!inserted) return true;
-    if (states_.size() >= kSiMaxStates) {
+  struct Parent {  // the move that first reached a state (from kNone: none)
+    std::uint32_t from;
+    WireId wire;
+    bool value;
+  };
+
+  /// Intern (q, next_); a new state records `parent`.  False when the
+  /// state budget is spent.
+  bool enqueue(sg::StateId q, const Parent& parent) {
+    std::uint64_t h = q;
+    for (const std::uint64_t w : next_) h = util::hash_combine(h, w);
+    const auto same = [&](std::uint32_t id) {
+      return q_[id] == q &&
+             std::memcmp(wires_.data() + id * stride_, next_.data(), stride_ * 8) == 0;
+    };
+    if (index_.find(h, same) != util::IdTable::kNone) return true;
+    if (q_.size() >= kSiMaxStates) {
       r_.issues.push_back(util::format("composed state space exceeds the %zu-state budget",
                                        kSiMaxStates));
       return false;  // complete stays false
     }
-    states_.push_back(std::move(next));
-    parent_.emplace_back(from, label);
-    frontier->push_back(states_.size() - 1);
+    index_.insert(h, static_cast<std::uint32_t>(q_.size()));
+    q_.push_back(q);
+    wires_.insert(wires_.end(), next_.begin(), next_.end());
+    parent_.push_back(parent);
     return true;
   }
 
   const Netlist& n_;
   const sg::StateGraph& spec_;
   SiResult& r_;
+  const std::size_t stride_;  // wire words per composed state
 
   std::vector<WireId> wire_of_sig_;
   std::vector<sg::SignalId> sig_of_wire_;
   std::vector<GateEval> evals_;
+  std::vector<std::vector<std::size_t>> affected_;  // per wire, see prepare()
 
-  std::vector<Key> states_;
-  std::vector<std::pair<std::size_t, std::string>> parent_;
-  std::unordered_map<Key, std::size_t, KeyHash> index_;
+  std::vector<sg::StateId> q_;        // per composed state
+  std::vector<std::uint64_t> wires_;  // stride_ words per composed state
+  std::vector<Parent> parent_;        // per composed state
+  util::IdTable index_;
+  // The state being expanded, its excited gates and a successor's wires.
+  sg::StateId q_cur_ = 0;
+  std::vector<std::uint64_t> cur_, next_;
+  util::BitVec excited_;
 };
 
 }  // namespace

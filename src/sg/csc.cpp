@@ -48,13 +48,14 @@ class SignatureKeys {
       if (g_.excited_dir(s, focus_, true)) out[0] |= 1u;
       if (g_.excited_dir(s, focus_, false)) out[0] |= 2u;
     } else {
-      // excited_non_input(s), written straight into the key words: set the
-      // bit of every non-silent edge label, then mask the input columns.
+      // The excited non-input signals of s, written straight into the key
+      // words: set the bit of every non-silent edge label, then mask the
+      // input columns.
       for (const Edge& e : g_.out(s)) {
         if (!e.is_silent()) out[e.sig >> 6] |= std::uint64_t{1} << (e.sig & 63);
       }
-      const util::BitVec& inputs = g_.input_mask();
-      for (std::size_t wi = 0; wi < inputs.num_words(); ++wi) out[wi] &= ~inputs.word(wi);
+      const auto inputs = g_.input_mask().words();
+      for (std::size_t wi = 0; wi < inputs.size(); ++wi) out[wi] &= ~inputs[wi];
     }
     if (assigns_ != nullptr) {
       for (std::size_t k = 0; k < assigns_->num_signals(); ++k) {

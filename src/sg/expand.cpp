@@ -30,27 +30,24 @@ Expansion expand(const StateGraph& g, const Assignments& assigns, bool check_con
   Expansion result;
   result.graph = StateGraph(std::move(infos));
 
-  auto make_code = [&](StateId orig, std::uint64_t phases) {
-    util::BitVec code = g.code(orig);
-    code.resize(g.num_signals() + m);
-    for (std::size_t k = 0; k < m; ++k) {
-      code.set(base + k, (phases >> k) & 1);
-    }
-    return code;
-  };
-
   // An expanded state is (original state, phase bits of the inserted
   // signals packed into a word: up to 64 inserted signals, far beyond
   // anything synthesis produces); the table interns it by that pair.
   std::vector<std::uint64_t> phases_of;  // per expanded state
   util::IdTable index;
+  std::vector<std::uint64_t> code((g.num_signals() + m + 63) / 64);
   auto intern = [&](StateId orig, std::uint64_t phases) {
     const std::uint64_t h = util::hash_combine(orig, phases);
     const StateId found = index.find(h, [&](std::uint32_t id) {
       return result.origin[id] == orig && phases_of[id] == phases;
     });
     if (found != util::IdTable::kNone) return found;
-    const StateId id = result.graph.add_state(make_code(orig, phases));
+    std::ranges::fill(code, 0);
+    std::ranges::copy(g.code_words(orig), code.begin());
+    for (std::size_t k = 0; k < m; ++k) {
+      if ((phases >> k) & 1) code[(base + k) >> 6] |= std::uint64_t{1} << ((base + k) & 63);
+    }
+    const StateId id = result.graph.add_state(code);
     result.origin.push_back(orig);
     phases_of.push_back(phases);
     index.insert(h, id);
@@ -93,6 +90,7 @@ Expansion expand(const StateGraph& g, const Assignments& assigns, bool check_con
     }
   }
 
+  result.graph.seal();  // edges were added in source order
   if (check_consistency) result.graph.check_consistency();
   span.arg("states", static_cast<std::int64_t>(result.graph.num_states()));
   return result;

@@ -67,32 +67,41 @@ Projection hide_signals(const StateGraph& g, const util::BitVec& hide,
   }
 
   proj.graph = StateGraph(std::move(infos));
+  std::vector<std::uint64_t> row((proj.kept.size() + 63) / 64);
   for (std::size_t c = 0; c < num_classes; ++c) {
-    util::BitVec code(proj.kept.size());
+    std::ranges::fill(row, 0);
     for (std::size_t i = 0; i < proj.kept.size(); ++i) {
-      code.set(i, g.code(class_rep[c]).test(proj.kept[i]));
+      if (g.value(class_rep[c], proj.kept[i])) row[i >> 6] |= std::uint64_t{1} << (i & 63);
     }
-    proj.graph.add_state(std::move(code));
+    proj.graph.add_state(row);
   }
   proj.graph.set_initial(proj.state_map[g.initial()]);
 
-  // Kept edges between classes, deduplicated by a scan of the class's
-  // out-list so far (short: a few edges per kept signal).
+  // Kept edges between classes, by source class in state order; a row keeps
+  // the first of equal edges (rows are short: a few edges per kept signal).
+  std::vector<std::pair<StateId, Edge>> kept_edges;
   for (StateId s = 0; s < n; ++s) {
     // All members of a class must agree on kept-signal values.
-    for (std::size_t i = 0; i < proj.kept.size(); ++i) {
-      MPS_ASSERT(g.code(s).test(proj.kept[i]) ==
-                 proj.graph.code(proj.state_map[s]).test(static_cast<SignalId>(i)));
+    const auto a = g.code_words(s), b = g.code_words(class_rep[proj.state_map[s]]);
+    for (std::size_t wi = 0; wi < a.size(); ++wi) {
+      MPS_ASSERT(((a[wi] ^ b[wi]) & ~hide.words()[wi]) == 0);
     }
     for (const Edge& e : g.out(s)) {
       if (e.is_silent() || hide.test(e.sig)) continue;
-      const StateId from = proj.state_map[s];
       const Edge edge{dense[e.sig], e.rise, proj.state_map[e.to]};
-      MPS_ASSERT(from != edge.to);  // a kept edge changes a kept signal's value
-      const auto& out = proj.graph.out(from);
-      if (std::find(out.begin(), out.end(), edge) == out.end()) proj.graph.add_edge(from, edge);
+      MPS_ASSERT(proj.state_map[s] != edge.to);  // a kept edge changes a kept signal's value
+      kept_edges.emplace_back(proj.state_map[s], edge);
     }
   }
+  std::stable_sort(kept_edges.begin(), kept_edges.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (auto it = kept_edges.begin(), row_begin = it; it != kept_edges.end(); ++it) {
+    if (it->first != row_begin->first) row_begin = it;
+    if (std::find_if(row_begin, it, [&](const auto& x) { return x.second == it->second; }) == it) {
+      proj.graph.add_edge(it->first, it->second);
+    }
+  }
+  proj.graph.seal();
 
   proj.assignments = Assignments(num_classes);
   if (assigns != nullptr && !assigns->empty()) {

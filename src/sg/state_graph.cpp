@@ -17,44 +17,45 @@ SignalId StateGraph::find_signal(std::string_view name) const {
   return it == by_name_.end() ? stg::kNoSignal : it->second;
 }
 
-void StateGraph::index_signal(SignalId s) {
-  // try_emplace keeps the first (lowest) id on duplicate names, matching
-  // the linear scan this index replaced.
-  by_name_.try_emplace(signals_[s].name, s);
+StateId StateGraph::add_state(std::span<const std::uint64_t> code) {
+  MPS_ASSERT(first_.empty() && code.size() == stride_);
+  codes_.insert(codes_.end(), code.begin(), code.end());
+  return static_cast<StateId>(num_states_++);
 }
 
-SignalId StateGraph::add_signal(const SignalInfo& info, bool value) {
-  signals_.push_back(info);
-  for (auto& code : codes_) code.push_back(value);
-  const SignalId s = static_cast<SignalId>(signals_.size() - 1);
-  index_signal(s);
-  input_mask_.push_back(info.is_input);
-  return s;
+void StateGraph::seal() {
+  // A stable counting sort by source.  The library's builders stage their
+  // edges in source order already, and then the staged array is the CSR.
+  MPS_ASSERT(first_.empty() && edges_.size() < kNoState);
+  first_.assign(num_states_ + 1, 0);
+  for (const StateId s : staged_from_) ++first_.at(s + 1);
+  std::partial_sum(first_.begin(), first_.end(), first_.begin());
+  if (!std::ranges::is_sorted(staged_from_)) {
+    std::vector<Edge> rows(edges_.size());
+    std::vector<std::uint32_t> next(first_.begin(), first_.end() - 1);
+    for (std::size_t i = 0; i < edges_.size(); ++i) rows[next[staged_from_[i]]++] = edges_[i];
+    edges_ = std::move(rows);
+  }
+  staged_from_ = {};
 }
 
-StateId StateGraph::add_state(util::BitVec code) {
-  MPS_ASSERT(code.size() == signals_.size());
-  codes_.push_back(std::move(code));
-  out_.emplace_back();
-  return static_cast<StateId>(codes_.size() - 1);
+std::size_t StateGraph::code_distance(StateId a, StateId b) const {
+  const auto x = code_words(a), y = code_words(b);
+  std::size_t n = 0;
+  for (std::size_t wi = 0; wi < stride_; ++wi) n += std::popcount(x[wi] ^ y[wi]);
+  return n;
 }
 
 util::BitVec StateGraph::excited(StateId s) const {
   util::BitVec bits(signals_.size());
-  for (const Edge& e : out_[s]) {
+  for (const Edge& e : out(s)) {
     if (!e.is_silent()) bits.set(e.sig);
   }
   return bits;
 }
 
-util::BitVec StateGraph::excited_non_input(StateId s) const {
-  util::BitVec bits = excited(s);
-  bits.and_not(input_mask_);
-  return bits;
-}
-
 bool StateGraph::excited_dir(StateId s, SignalId sig, bool rise) const {
-  for (const Edge& e : out_[s]) {
+  for (const Edge& e : out(s)) {
     if (!e.is_silent() && e.sig == sig && e.rise == rise) return true;
   }
   return false;
@@ -69,31 +70,22 @@ std::size_t StateGraph::num_concurrent_pairs() const {
   return n;
 }
 
-std::vector<std::vector<StateId>> StateGraph::predecessors() const {
-  std::vector<std::vector<StateId>> pred(num_states());
-  for (StateId s = 0; s < num_states(); ++s) {
-    for (const Edge& e : out_[s]) pred[e.to].push_back(s);
-  }
-  return pred;
-}
-
 void StateGraph::check_consistency() const {
   MPS_ASSERT(initial_ < num_states() || num_states() == 0);
   for (StateId s = 0; s < num_states(); ++s) {
-    MPS_ASSERT(codes_[s].size() == signals_.size());
-    for (const Edge& e : out_[s]) {
+    for (const Edge& e : out(s)) {
       MPS_ASSERT(e.to < num_states());
       if (e.is_silent()) {
         // ε edges must not change any signal value.
-        MPS_ASSERT(codes_[s] == codes_[e.to]);
+        MPS_ASSERT(code_distance(s, e.to) == 0);
         continue;
       }
       MPS_ASSERT(e.sig < signals_.size());
       // Consistent state assignment (§2): a+ goes 0 -> 1, a- goes 1 -> 0,
       // and all other signals keep their value.
-      MPS_ASSERT(codes_[s].test(e.sig) == !e.rise);
-      MPS_ASSERT(codes_[e.to].test(e.sig) == e.rise);
-      MPS_ASSERT(codes_[s].count_diff(codes_[e.to]) == 1);
+      MPS_ASSERT(value(s, e.sig) == !e.rise);
+      MPS_ASSERT(value(e.to, e.sig) == e.rise);
+      MPS_ASSERT(code_distance(s, e.to) == 1);
     }
   }
 }
@@ -113,83 +105,86 @@ void StateGraph::check_consistency() const {
 /// relative codes; a parity mismatch or conflicting pin on signal s is
 /// exactly the contradiction the old per-signal BFS detected, and the
 /// lowest such signal id is reported, matching the per-signal scan order.
-std::vector<util::BitVec> infer_codes(const stg::Stg& stg,
-                                      const petri::ReachabilityResult& reach) {
+std::vector<std::uint64_t> infer_codes(const stg::Stg& stg,
+                                       const petri::ReachabilityResult& reach) {
   const std::size_t num_states = reach.num_markings;
-  const std::size_t num_signals = stg.num_signals();
   obs::Span span("sg.infer_codes");
   span.arg("states", static_cast<std::int64_t>(num_states));
-  span.arg("signals", static_cast<std::int64_t>(num_signals));
+  span.arg("signals", static_cast<std::int64_t>(stg.num_signals()));
 
-  std::vector<util::BitVec> codes(num_states, util::BitVec(num_signals));
-  std::vector<char> coded(num_states, 0);
-  coded[0] = 1;
+  // Code columns: the non-dummy signals in id order.  Dummies have only
+  // silent labels (the Stg builder enforces it), so they need none.
+  std::vector<std::size_t> column(stg.num_signals());
+  std::size_t width = 0;
+  for (stg::SignalId s = 0; s < stg.num_signals(); ++s) {
+    if (stg.signal_kind(s) != stg::SignalKind::Dummy) column[s] = width++;
+  }
+  const std::size_t words = (width + 63) / 64;
+  std::vector<std::uint64_t> codes(num_states * words);
+  const auto bit = [](std::size_t c) { return std::uint64_t{1} << (c & 63); };
+  std::uint32_t coded = 1;  // markings 0 .. coded - 1, in discovery order
 
-  util::BitVec inconsistent(num_signals);
-  util::BitVec base_known(num_signals);
-  util::BitVec base(num_signals);
-  util::BitVec scratch(num_signals);
+  std::vector<std::uint64_t> inconsistent(words);
+  util::BitVec base_known(width);
+  util::BitVec base(width);
 
   for (const auto& e : reach.edges) {
     const stg::Label& l = stg.label(e.trans);
-    if (!coded[e.to]) {
-      codes[e.to] = codes[e.from];  // same width: reuses the preallocated words
-      if (!l.is_silent()) codes[e.to].flip(l.sig);
-      coded[e.to] = 1;
+    const std::uint64_t* from = codes.data() + e.from * words;
+    std::uint64_t* to = codes.data() + e.to * words;
+    // The labelled flip, as a column, its word and its mask (none for ε).
+    const std::size_t c = l.is_silent() ? 0 : column[l.sig];
+    const std::uint64_t flip = l.is_silent() ? 0 : bit(c);
+    if (e.to == coded) {
+      std::copy(from, from + words, to);
+      if (flip != 0) to[c >> 6] ^= flip;
+      ++coded;
     } else {
       // Non-tree edge: relative codes must agree up to the labelled flip.
       // Any other differing bit means an odd-parity cycle for that signal.
-      scratch = codes[e.from];
-      scratch ^= codes[e.to];
-      if (!l.is_silent()) scratch.flip(l.sig);
-      inconsistent |= scratch;
+      for (std::size_t wi = 0; wi < words; ++wi) {
+        inconsistent[wi] |= from[wi] ^ to[wi] ^ (wi == c >> 6 ? flip : 0);
+      }
     }
     if (!l.is_silent() && (l.pol == stg::Polarity::Rise || l.pol == stg::Polarity::Fall)) {
       // abs(from) = rel(from) ^ base must be 0 for s+ and 1 for s-.
-      const bool want = codes[e.from].test(l.sig) ^ (l.pol == stg::Polarity::Rise ? false : true);
-      if (base_known.test(l.sig)) {
-        if (base.test(l.sig) != want) inconsistent.set(l.sig);
+      const bool want = ((from[c >> 6] & flip) != 0) != (l.pol == stg::Polarity::Fall);
+      if (base_known.test(c)) {
+        if (base.test(c) != want) inconsistent[c >> 6] |= flip;
       } else {
-        base_known.set(l.sig);
-        base.set(l.sig, want);
+        base_known.set(c);
+        base.set(c, want);
       }
     }
   }
-  bool all_coded = true;
-  for (std::uint32_t st = 0; st < num_states; ++st) all_coded &= coded[st] != 0;
 
   stg::SignalId first_real = stg::kNoSignal;
-  for (stg::SignalId s = 0; s < num_signals; ++s) {
+  for (stg::SignalId s = 0; s < stg.num_signals(); ++s) {
     if (stg.signal_kind(s) == stg::SignalKind::Dummy) continue;
     if (first_real == stg::kNoSignal) first_real = s;
-    if (inconsistent.test(s)) {
+    if ((inconsistent[column[s] >> 6] & bit(column[s])) != 0) {
       throw util::SemanticsError("STG '" + stg.name() +
                                  "' has no consistent state assignment for signal " +
                                  stg.signal_name(s));
     }
-    if (!base_known.test(s)) {
+    if (!base_known.test(column[s])) {
       // Signal never rises/falls explicitly: seed from the declared initial
       // value, defaulting to 0.
-      const auto declared = stg.initial_value(s);
-      base.set(s, declared.value_or(false));
+      base.set(column[s], stg.initial_value(s).value_or(false));
     }
   }
-  if (!all_coded && first_real != stg::kNoSignal) {
+  if (coded != num_states && first_real != stg::kNoSignal) {
     // Unreached by the edge sweep: disconnected component (cannot happen for
     // reachability graphs, which are rooted) — but stay defensive.
     throw util::SemanticsError("signal value underdetermined for " +
                                stg.signal_name(first_real));
   }
-
-  // Dummy signals have only silent labels (enforced by the Stg builder), so
-  // their columns never flip and their base bits stay 0: dummy columns come
-  // out all-zero, exactly as the per-signal scan (which skipped them) left
-  // them.
-  for (std::uint32_t st = 0; st < num_states; ++st) codes[st] ^= base;
+  for (std::size_t i = 0; i < codes.size(); ++i) codes[i] ^= base.words()[i % words];
   return codes;
 }
 
 StateGraph StateGraph::from_stg(const stg::Stg& stg, const BuildOptions& opts) {
+  obs::Span span("sg.from_stg");
   petri::ReachabilityOptions ropts;
   ropts.max_markings = opts.max_states;
   const auto reach = petri::reachability(stg.net(), stg.initial_marking(), ropts);
@@ -214,55 +209,36 @@ StateGraph StateGraph::from_stg(const stg::Stg& stg, const BuildOptions& opts) {
     infos.push_back(SignalInfo{stg.signal_name(s), stg.is_input(s)});
   }
 
-  auto codes = infer_codes(stg, reach);
-
-  const bool has_dummies = infos.size() != stg.num_signals();
   StateGraph g(std::move(infos));
-  for (std::uint32_t st = 0; st < reach.num_markings; ++st) {
-    if (!has_dummies) {
-      // dense[] is the identity: the inferred code is already the state code.
-      g.add_state(std::move(codes[st]));
-      continue;
-    }
-    // Re-pack the code to drop dummy columns.
-    util::BitVec packed(g.num_signals());
-    for (stg::SignalId s = 0; s < stg.num_signals(); ++s) {
-      if (dense[s] != stg::kNoSignal) packed.set(dense[s], codes[st].test(s));
-    }
-    g.add_state(std::move(packed));
-  }
-  g.set_initial(0);
+  g.num_states_ = reach.num_markings;
+  g.codes_ = infer_codes(stg, reach);
 
+  g.edges_.reserve(reach.edges.size());
+  g.staged_from_.reserve(reach.edges.size());
   for (const auto& e : reach.edges) {
     const stg::Label& l = stg.label(e.trans);
-    Edge edge;
-    edge.to = e.to;
-    if (l.is_silent()) {
-      edge.sig = stg::kNoSignal;
-    } else {
-      edge.sig = dense[l.sig];
-      edge.rise = l.pol == stg::Polarity::Toggle ? g.code(e.to).test(dense[l.sig])
-                                                 : l.pol == stg::Polarity::Rise;
-    }
-    g.add_edge(e.from, edge);
+    const SignalId sig = l.is_silent() ? stg::kNoSignal : dense[l.sig];
+    const bool rise = !l.is_silent() && (l.pol == stg::Polarity::Toggle
+                                             ? g.value(e.to, sig)
+                                             : l.pol == stg::Polarity::Rise);
+    g.add_edge(e.from, Edge{sig, rise, e.to});
   }
+  g.seal();
 
   g.check_consistency();
+  span.arg("states", static_cast<std::int64_t>(g.num_states()));
+  span.arg("edges", static_cast<std::int64_t>(g.num_edges()));
   return g;
 }
 
 CodeClasses code_classes(const StateGraph& g) {
   const std::size_t n = g.num_states();
-  const std::size_t words = n == 0 ? 0 : g.code(0).num_words();
-  // The codes side by side: the sort reads one array, not a buffer per state.
-  std::vector<std::uint64_t> keys(n * words);
-  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = g.code(i / words).word(i % words);
-  const auto key = [&](StateId s) { return keys.begin() + s * words; };
   // BitVec::to_string() order, word by word: the code with a 0 at the lowest
   // differing bit comes first.
   const auto code_less = [&](StateId a, StateId b) {
-    const auto [x, y] = std::mismatch(key(a), key(a) + words, key(b));
-    return x != key(a) + words && (*y >> std::countr_zero(*x ^ *y) & 1u) != 0;
+    const auto x = g.code_words(a);
+    const auto [i, j] = std::ranges::mismatch(x, g.code_words(b));
+    return i != x.end() && (*j >> std::countr_zero(*i ^ *j) & 1u) != 0;
   };
   CodeClasses cc;
   cc.order.resize(n);

@@ -45,15 +45,6 @@ std::size_t BitVec::count() const {
   return n;
 }
 
-std::size_t BitVec::count_diff(const BitVec& other) const {
-  MPS_ASSERT(size_ == other.size_);
-  std::size_t n = 0;
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-    n += static_cast<std::size_t>(std::popcount(words_[wi] ^ other.words_[wi]));
-  }
-  return n;
-}
-
 std::size_t BitVec::find_first() const {
   for (std::size_t wi = 0; wi < words_.size(); ++wi) {
     if (words_[wi] != 0) {

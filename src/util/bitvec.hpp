@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,11 @@ class BitVec {
   BitVec() = default;
   /// Construct with `size` bits, all set to `value`.
   explicit BitVec(std::size_t size, bool value = false);
+  /// A copy of `size` bits kept elsewhere as ⌈size/64⌉ words, high bits 0.
+  BitVec(std::span<const std::uint64_t> words, std::size_t size)
+      : words_(words.begin(), words.end()), size_(size) {
+    MPS_ASSERT(words_.size() == (size + 63) / 64);
+  }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -56,10 +62,6 @@ class BitVec {
   /// Number of set bits.
   std::size_t count() const;
 
-  /// Number of positions where *this and other differ (popcount of the XOR),
-  /// computed word-wise with no temporary allocation.  Sizes must match.
-  std::size_t count_diff(const BitVec& other) const;
-
   /// Index of the first set bit, or npos if none.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t find_first() const;
@@ -88,8 +90,7 @@ class BitVec {
 
   /// Read-only word access (bit i lives in word i/64, bit i%64): lets hot
   /// loops apply masks word-wise without materializing BitVec temporaries.
-  std::size_t num_words() const { return words_.size(); }
-  std::uint64_t word(std::size_t wi) const { return words_[wi]; }
+  std::span<const std::uint64_t> words() const { return words_; }
 
   /// "0101..." rendering, bit 0 first.
   std::string to_string() const;

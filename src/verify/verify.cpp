@@ -19,14 +19,14 @@ bool check_codes(const sg::StateGraph& g, std::vector<std::string>* issues) {
   for (sg::StateId s = 0; s < g.num_states(); ++s) {
     for (const sg::Edge& e : g.out(s)) {
       if (e.is_silent()) {
-        if (!(g.code(s) == g.code(e.to))) {
+        if (g.code_distance(s, e.to) != 0) {
           issues->push_back(util::format("silent edge %u->%u changes the code", s, e.to));
           ok = false;
         }
         continue;
       }
-      const util::BitVec diff = g.code(s) ^ g.code(e.to);
-      if (diff.count() != 1 || !diff.test(e.sig) || g.value(s, e.sig) != !e.rise) {
+      if (g.code_distance(s, e.to) != 1 || g.value(e.to, e.sig) != e.rise ||
+          g.value(s, e.sig) != !e.rise) {
         issues->push_back(util::format("edge %u->%u violates consistent assignment on %s", s,
                                        e.to, g.signal(e.sig).name.c_str()));
         ok = false;

@@ -21,9 +21,9 @@ if(n_events LESS 10)
   message(FATAL_ERROR "trace has only ${n_events} events")
 endif()
 
-foreach(span sat.solve petri.reachability sg.infer_codes sg.analyze_csc
-             synth.modular synth.module core.input_set sg.expand verify.synthesis
-             netlist.verify_si)
+foreach(span sat.solve petri.reachability sg.infer_codes sg.from_stg sg.analyze_csc
+             synth.modular synth.module core.input_set sg.expand logic.extract
+             logic.minimize verify.synthesis netlist.verify_si)
   if(NOT trace MATCHES "\"name\":\"${span}\"")
     message(FATAL_ERROR "trace is missing span '${span}'")
   endif()

@@ -160,6 +160,7 @@ TEST(ExpansionSimulates, DetectsMissingBehaviour) {
   for (sg::StateId s = 0; s + 1 < ex.graph.num_states(); ++s) {
     for (const auto& e : ex.graph.out(s)) broken.add_edge(s, e);
   }
+  broken.seal();
   EXPECT_FALSE(verify::expansion_simulates(g, broken, ex.origin));
 }
 
@@ -184,6 +185,7 @@ TEST(ExpansionSimulates, DetectsSingleDroppedOriginalEdge) {
       broken.add_edge(s, e);
     }
   }
+  broken.seal();
   ASSERT_TRUE(dropped);
   EXPECT_FALSE(verify::expansion_simulates(g, broken, ex.origin));
 }
@@ -205,8 +207,8 @@ TEST(ExpansionSimulates, DetectsExtraNonInsertedEdge) {
   }
   const sg::SignalId a = g.find_signal("a");
   sg::StateId from = sg::kNoState, to = sg::kNoState;
-  for (sg::StateId s = 0; s < broken.num_states() && to == sg::kNoState; ++s) {
-    for (const auto& e : broken.out(s)) {
+  for (sg::StateId s = 0; s < ex.graph.num_states() && to == sg::kNoState; ++s) {
+    for (const auto& e : ex.graph.out(s)) {
       if (e.sig == a && e.rise) {
         from = e.to;  // a is 1 here, so a- is codable
         // Reuse the a+ edge's source as the bogus target: codes differ
@@ -217,6 +219,7 @@ TEST(ExpansionSimulates, DetectsExtraNonInsertedEdge) {
   }
   ASSERT_NE(to, sg::kNoState);
   broken.add_edge(from, {a, /*rise=*/false, to});
+  broken.seal();
   EXPECT_FALSE(verify::expansion_simulates(g, broken, ex.origin));
 }
 
