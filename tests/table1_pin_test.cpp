@@ -16,6 +16,7 @@
 #include "baseline/lavagno.hpp"
 #include "baseline/vanbekbergen.hpp"
 #include "benchmarks/benchmarks.hpp"
+#include "benchmarks/generators.hpp"
 #include "core/synthesis.hpp"
 #include "sg/state_graph.hpp"
 #include "svc/digest.hpp"
@@ -116,6 +117,41 @@ TEST(Table1Pin, ModularCoversArePinned) {
     ASSERT_TRUE(m.success) << pin.name;
     EXPECT_EQ(svc::sha256_hex(covers_text(m)), pin.covers_sha256) << pin.name << "\n"
                                                                   << covers_text(m);
+  }
+}
+
+struct GeneratedPin {
+  const char* name;
+  std::size_t states, signals, literals;
+  const char* covers_sha256;  ///< of covers_text()
+};
+
+// Modular synthesis of three generated specs, pinned like the rows above.
+// Their final graphs (up to 7,887 states and 33 signals) are larger than
+// any Table-1 graph, so they pin the minimizer on larger ON/OFF sets.
+constexpr GeneratedPin kGeneratedPins[] = {
+    {"pipeline:6", 7887, 20, 96,
+     "94b0ed5ef7b8765deee130d214d38d8169a98b472e3b821b969ad7b10bf821a4"},
+    {"parallelizer:4", 2419, 14, 40,
+     "3b065e862275f29c36f2dfbcbcfdf95338bb693332a64e2bf739c4d700e65748"},
+    {"sequencer:10", 1968, 33, 219,
+     "7435364ef542bfe3d64c4026d2dcfa48652f7696e81dd98e7509808352a38643"},
+};
+
+stg::Stg generated_spec(const std::string& name) {
+  if (name == "pipeline:6") return benchmarks::gen_pipeline("pipe6", 6);
+  if (name == "parallelizer:4") return benchmarks::gen_parallelizer("par4", 4);
+  return benchmarks::gen_sequencer("seq10", 10);
+}
+
+TEST(GeneratedPin, ModularCoversArePinned) {
+  for (const GeneratedPin& pin : kGeneratedPins) {
+    const auto m = core::modular_synthesis(sg::StateGraph::from_stg(generated_spec(pin.name)));
+    ASSERT_TRUE(m.success) << pin.name;
+    EXPECT_EQ(m.final_states, pin.states) << pin.name;
+    EXPECT_EQ(m.final_signals, pin.signals) << pin.name;
+    EXPECT_EQ(m.total_literals, pin.literals) << pin.name;
+    EXPECT_EQ(svc::sha256_hex(covers_text(m)), pin.covers_sha256) << pin.name;
   }
 }
 
