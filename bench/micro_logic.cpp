@@ -82,9 +82,8 @@ BENCHMARK_CAPTURE(BM_ExtractNextState, sbuf_ram_write,
 BENCHMARK_CAPTURE(BM_ExtractNextState, pipe6, benchmarks::gen_pipeline("pipe6", 6))
     ->Unit(benchmark::kMillisecond);
 
-void BM_DeriveAllLogic(benchmark::State& state, const char* name) {
-  const auto g =
-      sg::StateGraph::from_stg(benchmarks::find_benchmark(name)->make());
+void BM_DeriveAllLogic(benchmark::State& state, const stg::Stg& spec) {
+  const auto g = sg::StateGraph::from_stg(spec);
   core::SynthesisOptions opts;
   opts.derive_logic = false;
   const auto r = core::modular_synthesis(g, opts);
@@ -97,9 +96,13 @@ void BM_DeriveAllLogic(benchmark::State& state, const char* name) {
     benchmark::DoNotOptimize(lits);
   }
 }
-BENCHMARK_CAPTURE(BM_DeriveAllLogic, mmu1, "mmu1");
-BENCHMARK_CAPTURE(BM_DeriveAllLogic, atod, "atod");
-BENCHMARK_CAPTURE(BM_DeriveAllLogic, mr0, "mr0");  // the largest logic row
+BENCHMARK_CAPTURE(BM_DeriveAllLogic, mmu1, benchmarks::find_benchmark("mmu1")->make());
+BENCHMARK_CAPTURE(BM_DeriveAllLogic, atod, benchmarks::find_benchmark("atod")->make());
+// The largest Table-1 logic row.
+BENCHMARK_CAPTURE(BM_DeriveAllLogic, mr0, benchmarks::find_benchmark("mr0")->make());
+// 7,887 final states and 20 signals: ON/OFF sets of thousands of codes.
+BENCHMARK_CAPTURE(BM_DeriveAllLogic, pipe6, benchmarks::gen_pipeline("pipe6", 6))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BddFromMinterms(benchmark::State& state) {
   const auto g = sg::StateGraph::from_stg(benchmarks::find_benchmark("mmu0")->make());

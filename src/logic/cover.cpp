@@ -9,7 +9,7 @@ void Cover::add(Cube c) {
   cubes_.push_back(std::move(c));
 }
 
-bool Cover::covers_code(const util::BitVec& code) const {
+bool Cover::covers_code(std::span<const std::uint64_t> code) const {
   for (const Cube& c : cubes_) {
     if (c.contains_code(code)) return true;
   }

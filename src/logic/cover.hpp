@@ -24,8 +24,8 @@ class Cover {
   const std::vector<Cube>& cubes() const { return cubes_; }
   std::vector<Cube>& cubes() { return cubes_; }
 
-  /// Does any cube contain the code?
-  bool covers_code(const util::BitVec& code) const;
+  /// Does any cube contain the code (⌈n/64⌉ words, see Cube::contains_code)?
+  bool covers_code(std::span<const std::uint64_t> code) const;
 
   /// Total literal count — the paper's "2level Area literals" metric
   /// (unfactored prime irredundant cover, as with espresso -Dso -S1).

@@ -1,12 +1,40 @@
 #include "logic/cube.hpp"
 
+#include <bit>
+
 #include "util/common.hpp"
 
 namespace mps::logic {
 
+namespace {
+
+/// Word w of a row with all of its num_vars bits set (a minterm's care row).
+std::uint64_t full_word(std::size_t w, std::size_t num_vars) {
+  const std::size_t bits = num_vars - 64 * w;
+  return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+}
+
+}  // namespace
+
 Cube Cube::minterm(const util::BitVec& code) {
   Cube c(code.size());
-  for (std::size_t v = 0; v < code.size(); ++v) c.set_literal(v, code.test(v));
+  const std::size_t n = c.row_words();
+  for (std::size_t w = 0; w < n; ++w) {
+    c.words_[w] = full_word(w, code.size());
+    c.words_[n + w] = code.words()[w] & c.words_[w];
+  }
+  return c;
+}
+
+Cube Cube::from_masks(std::size_t num_vars, std::span<const std::uint64_t> care,
+                      std::span<const std::uint64_t> value) {
+  Cube c(num_vars);
+  const std::size_t n = c.row_words();
+  MPS_ASSERT(care.size() == n && value.size() == n);
+  for (std::size_t w = 0; w < n; ++w) {
+    c.words_[w] = care[w] & full_word(w, num_vars);
+    c.words_[n + w] = value[w] & c.words_[w];
+  }
   return c;
 }
 
@@ -25,78 +53,57 @@ Cube Cube::from_string(std::string_view pattern) {
 }
 
 std::optional<bool> Cube::literal(std::size_t var) const {
-  const bool a0 = bits_.test(2 * var);
-  const bool a1 = bits_.test(2 * var + 1);
-  if (a0 == a1) return std::nullopt;
-  return a1;
+  if (!has_literal(var)) return std::nullopt;
+  return ((words_[row_words() + (var >> 6)] >> (var & 63)) & 1u) != 0;
 }
 
 void Cube::set_literal(std::size_t var, bool value) {
-  bits_.set(2 * var, !value);
-  bits_.set(2 * var + 1, value);
+  MPS_ASSERT(var < num_vars_);
+  const std::uint64_t bit = std::uint64_t{1} << (var & 63);
+  words_[var >> 6] |= bit;
+  std::uint64_t& v = words_[row_words() + (var >> 6)];
+  v = value ? v | bit : v & ~bit;
 }
 
 void Cube::free_var(std::size_t var) {
-  bits_.set(2 * var, true);
-  bits_.set(2 * var + 1, true);
-}
-
-bool Cube::is_empty() const {
-  for (std::size_t v = 0; v < num_vars_; ++v) {
-    if (!bits_.test(2 * v) && !bits_.test(2 * v + 1)) return true;
-  }
-  return false;
+  MPS_ASSERT(var < num_vars_);
+  const std::uint64_t keep = ~(std::uint64_t{1} << (var & 63));
+  words_[var >> 6] &= keep;
+  words_[row_words() + (var >> 6)] &= keep;
 }
 
 std::size_t Cube::literal_count() const {
   std::size_t n = 0;
-  for (std::size_t v = 0; v < num_vars_; ++v) n += has_literal(v) ? 1 : 0;
+  for (const std::uint64_t w : care()) n += static_cast<std::size_t>(std::popcount(w));
   return n;
 }
 
-bool Cube::contains_code(const util::BitVec& code) const {
-  MPS_ASSERT(code.size() == num_vars_);
-  for (std::size_t v = 0; v < num_vars_; ++v) {
-    if (!allows(v, code.test(v))) return false;
+bool Cube::contains_code(std::span<const std::uint64_t> code) const {
+  const std::size_t n = row_words();
+  MPS_ASSERT(code.size() == n);
+  for (std::size_t w = 0; w < n; ++w) {
+    if ((code[w] ^ words_[n + w]) & words_[w]) return false;
   }
   return true;
 }
 
-bool Cube::intersects(const Cube& other) const { return distance(other) == 0; }
-
-Cube Cube::intersect(const Cube& other) const {
+bool Cube::contains(const Cube& other) const {
   MPS_ASSERT(num_vars_ == other.num_vars_);
-  Cube c = *this;
-  c.bits_ &= other.bits_;
-  return c;
+  const std::size_t n = row_words();
+  for (std::size_t w = 0; w < n; ++w) {
+    const std::uint64_t care = words_[w];
+    if ((care & ~other.words_[w]) || ((words_[n + w] ^ other.words_[n + w]) & care)) return false;
+  }
+  return true;
 }
 
 Cube Cube::supercube(const Cube& other) const {
   MPS_ASSERT(num_vars_ == other.num_vars_);
   Cube c = *this;
-  c.bits_ |= other.bits_;
-  return c;
-}
-
-std::size_t Cube::distance(const Cube& other) const {
-  MPS_ASSERT(num_vars_ == other.num_vars_);
-  std::size_t d = 0;
-  for (std::size_t v = 0; v < num_vars_; ++v) {
-    const bool a0 = bits_.test(2 * v) && other.bits_.test(2 * v);
-    const bool a1 = bits_.test(2 * v + 1) && other.bits_.test(2 * v + 1);
-    if (!a0 && !a1) ++d;
-  }
-  return d;
-}
-
-std::optional<Cube> Cube::consensus(const Cube& other) const {
-  if (distance(other) != 1) return std::nullopt;
-  Cube c = intersect(other);
-  for (std::size_t v = 0; v < num_vars_; ++v) {
-    if (!c.bits_.test(2 * v) && !c.bits_.test(2 * v + 1)) {
-      c.free_var(v);
-      break;
-    }
+  const std::size_t n = row_words();
+  for (std::size_t w = 0; w < n; ++w) {
+    c.words_[w] &= other.words_[w] & ~(words_[n + w] ^ other.words_[n + w]);
+    c.words_[n + w] &= c.words_[w];
   }
   return c;
 }
@@ -106,13 +113,7 @@ std::string Cube::to_string() const {
   s.reserve(num_vars_);
   for (std::size_t v = 0; v < num_vars_; ++v) {
     const auto lit = literal(v);
-    if (!bits_.test(2 * v) && !bits_.test(2 * v + 1)) {
-      s.push_back('x');  // empty part
-    } else if (!lit.has_value()) {
-      s.push_back('-');
-    } else {
-      s.push_back(*lit ? '1' : '0');
-    }
+    s.push_back(!lit.has_value() ? '-' : *lit ? '1' : '0');
   }
   return s;
 }

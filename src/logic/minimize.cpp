@@ -14,7 +14,7 @@ namespace {
 
 bool cube_hits_off(const Cube& cube, const std::vector<util::BitVec>& off) {
   for (const auto& code : off) {
-    if (cube.contains_code(code)) return true;
+    if (cube.contains_code(code.words())) return true;
   }
   return false;
 }
@@ -45,10 +45,13 @@ class OffSlices {
   bool widened_hits(const Cube& cube, std::size_t var) {
     if (words_ == 0) return false;  // empty OFF set: there are no slices
     literal_slices_.clear();
-    for (std::size_t v = 0; v < num_vars_; ++v) {
-      if (v == var) continue;
-      if (const auto value = cube.literal(v); value.has_value()) {
-        literal_slices_.push_back(&slices_[slice(v, *value)]);
+    const auto care = cube.care();
+    const auto value = cube.value();
+    for (std::size_t w = 0; w < care.size(); ++w) {
+      for (std::uint64_t bits = care[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t v = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+        if (v == var) continue;
+        literal_slices_.push_back(&slices_[slice(v, (value[w] >> (v & 63)) & 1u)]);
       }
     }
     for (std::size_t w = 0; w < words_; ++w) {
@@ -91,7 +94,7 @@ Cover make_irredundant(const Cover& cover, const std::vector<util::BitVec>& on) 
   std::vector<std::vector<std::uint32_t>> coverers(on.size());
   for (std::size_t mi = 0; mi < on.size(); ++mi) {
     for (std::uint32_t ci = 0; ci < nc; ++ci) {
-      if (cover[ci].contains_code(on[mi])) coverers[mi].push_back(ci);
+      if (cover[ci].contains_code(on[mi].words())) coverers[mi].push_back(ci);
     }
     MPS_ASSERT(!coverers[mi].empty());
   }
@@ -120,7 +123,7 @@ Cover make_irredundant(const Cover& cover, const std::vector<util::BitVec>& on) 
       if (selected[ci]) continue;
       std::size_t gain = 0;
       for (std::size_t mi = 0; mi < on.size(); ++mi) {
-        if (!covered[mi] && cover[ci].contains_code(on[mi])) ++gain;
+        if (!covered[mi] && cover[ci].contains_code(on[mi].words())) ++gain;
       }
       const std::size_t lits = cover[ci].literal_count();
       if (gain > best_gain || (gain == best_gain && gain > 0 && lits < best_lits)) {
@@ -132,7 +135,7 @@ Cover make_irredundant(const Cover& cover, const std::vector<util::BitVec>& on) 
     MPS_ASSERT(best_gain > 0);
     selected[best] = true;
     for (std::size_t mi = 0; mi < on.size(); ++mi) {
-      if (!covered[mi] && cover[best].contains_code(on[mi])) covered[mi] = true;
+      if (!covered[mi] && cover[best].contains_code(on[mi].words())) covered[mi] = true;
     }
   }
   Cover out(cover.num_vars());
@@ -152,10 +155,12 @@ Cover reduce(const Cover& cover, const std::vector<util::BitVec>& on) {
   for (std::size_t ci = 0; ci < work.size(); ++ci) {
     std::optional<Cube> shrunk;
     for (const auto& code : on) {
-      if (!work[ci].has_value() || !work[ci]->contains_code(code)) continue;
+      if (!work[ci].has_value() || !work[ci]->contains_code(code.words())) continue;
       bool elsewhere = false;
       for (std::size_t cj = 0; cj < work.size() && !elsewhere; ++cj) {
-        if (cj != ci && work[cj].has_value() && work[cj]->contains_code(code)) elsewhere = true;
+        if (cj != ci && work[cj].has_value() && work[cj]->contains_code(code.words())) {
+          elsewhere = true;
+        }
       }
       if (!elsewhere) {
         const Cube m = Cube::minterm(code);
@@ -239,20 +244,15 @@ struct ImplicantHash {
   }
 };
 
+/// A code of fewer than 64 variables as one word (QM's working encoding).
 std::uint64_t code_to_u64(const util::BitVec& code) {
-  std::uint64_t x = 0;
-  for (std::size_t v = 0; v < code.size(); ++v) {
-    if (code.test(v)) x |= std::uint64_t{1} << v;
-  }
-  return x;
+  return code.words().empty() ? 0 : code.words()[0];
 }
 
 Cube implicant_to_cube(const Implicant& imp, std::size_t num_vars) {
-  Cube c(num_vars);
-  for (std::size_t v = 0; v < num_vars; ++v) {
-    if (!((imp.dashes >> v) & 1)) c.set_literal(v, (imp.values >> v) & 1);
-  }
-  return c;
+  const std::uint64_t care = ~imp.dashes;
+  const std::size_t words = (num_vars + 63) / 64;  // at most one: num_vars < 64
+  return Cube::from_masks(num_vars, {&care, words}, {&imp.values, words});
 }
 
 /// Branch-and-bound unate covering: rows = ON minterms, cols = primes,
@@ -429,10 +429,10 @@ Cover minimize(const SopSpec& spec, const MinimizeOptions& opts) {
 
 bool cover_is_valid(const SopSpec& spec, const Cover& cover) {
   for (const auto& code : spec.on) {
-    if (!cover.covers_code(code)) return false;
+    if (!cover.covers_code(code.words())) return false;
   }
   for (const auto& code : spec.off) {
-    if (cover.covers_code(code)) return false;
+    if (cover.covers_code(code.words())) return false;
   }
   return true;
 }
@@ -452,10 +452,10 @@ bool cover_is_irredundant(const SopSpec& spec, const Cover& cover) {
   for (std::size_t ci = 0; ci < cover.size(); ++ci) {
     bool needed = false;
     for (const auto& code : spec.on) {
-      if (!cover[ci].contains_code(code)) continue;
+      if (!cover[ci].contains_code(code.words())) continue;
       bool elsewhere = false;
       for (std::size_t cj = 0; cj < cover.size() && !elsewhere; ++cj) {
-        if (cj != ci && cover[cj].contains_code(code)) elsewhere = true;
+        if (cj != ci && cover[cj].contains_code(code.words())) elsewhere = true;
       }
       if (!elsewhere) {
         needed = true;

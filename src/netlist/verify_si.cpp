@@ -13,17 +13,6 @@ namespace mps::netlist {
 
 namespace {
 
-/// Packed per-cube test over gathered fanin bits (fanin count <= 64).
-struct CubeMask {
-  std::uint64_t ones = 0;   ///< fanin bits that must be 1
-  std::uint64_t zeros = 0;  ///< fanin bits that must be 0
-};
-
-struct GateEval {
-  std::vector<CubeMask> cubes;  ///< kSop
-  bool constant_one = false;    ///< kSop with a universal cube
-};
-
 bool bit(const std::uint64_t* words, std::size_t i) { return (words[i >> 6] >> (i & 63)) & 1u; }
 
 /// Breadth-first search over composed states (spec state × every wire
@@ -66,26 +55,11 @@ class Search {
   }
 
   void prepare() {
-    evals_.resize(n_.num_gates());
-    for (std::size_t i = 0; i < n_.num_gates(); ++i) {
-      const Gate& g = n_.gate(i);
-      if (g.kind != GateKind::kSop) continue;
-      MPS_ASSERT(g.fanins.size() <= 64);
-      GateEval& ev = evals_[i];
-      for (const logic::Cube& c : g.fn.cubes()) {
-        CubeMask m;
-        for (std::size_t v = 0; v < g.fn.num_vars(); ++v) {
-          if (const auto lit = c.literal(v)) {
-            (*lit ? m.ones : m.zeros) |= std::uint64_t{1} << v;
-          }
-        }
-        if (m.ones == 0 && m.zeros == 0) ev.constant_one = true;
-        ev.cubes.push_back(m);
-      }
-    }
     // A move of wire w can change the excitation of w's readers and driver
-    // only; each list ascends, as the gates do.
+    // only; each list ascends, as the gates do.  next_value reads an SOP
+    // gate's fanins as one code word.
     for (std::size_t i = 0; i < n_.num_gates(); ++i) {
+      MPS_ASSERT(n_.gate(i).fanins.size() <= 64);
       for (const WireId f : n_.gate(i).fanins) affected_[f].push_back(i);
       affected_[n_.gate(i).out].push_back(i);
     }
@@ -105,16 +79,12 @@ class Search {
       if (set == reset) return bit(wires, g.out);  // hold
       return set;
     }
-    const GateEval& ev = evals_[gate_idx];
-    if (ev.constant_one) return true;
+    // The fanin values gathered into one code word (see prepare()).
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < g.fanins.size(); ++i) {
       if (bit(wires, g.fanins[i])) v |= std::uint64_t{1} << i;
     }
-    for (const CubeMask& m : ev.cubes) {
-      if ((v & m.ones) == m.ones && (v & m.zeros) == 0) return true;
-    }
-    return false;
+    return g.fn.covers_code({&v, (g.fanins.size() + 63) / 64});
   }
 
   /// Whether gate i's next value differs from its output wire.
@@ -286,7 +256,6 @@ class Search {
 
   std::vector<WireId> wire_of_sig_;
   std::vector<sg::SignalId> sig_of_wire_;
-  std::vector<GateEval> evals_;
   std::vector<std::vector<std::size_t>> affected_;  // per wire, see prepare()
 
   std::vector<sg::StateId> q_;        // per composed state

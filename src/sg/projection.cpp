@@ -77,9 +77,17 @@ Projection hide_signals(const StateGraph& g, const util::BitVec& hide,
   }
   proj.graph.set_initial(proj.state_map[g.initial()]);
 
-  // Kept edges between classes, by source class in state order; a row keeps
-  // the first of equal edges (rows are short: a few edges per kept signal).
-  std::vector<std::pair<StateId, Edge>> kept_edges;
+  // Kept edges between classes, grouped by source class in state order (a
+  // counting sort); a row keeps the first of equal edges (rows are short: a
+  // few edges per kept signal).
+  const auto is_kept = [&](const Edge& e) { return !e.is_silent() && !hide.test(e.sig); };
+  std::vector<std::uint32_t> row_begin(num_classes + 1, 0);
+  for (StateId s = 0; s < n; ++s) {
+    for (const Edge& e : g.out(s)) row_begin[proj.state_map[s] + 1] += is_kept(e) ? 1 : 0;
+  }
+  std::partial_sum(row_begin.begin(), row_begin.end(), row_begin.begin());
+  std::vector<Edge> rows(row_begin.back());
+  std::vector<std::uint32_t> next(row_begin.begin(), row_begin.end() - 1);
   for (StateId s = 0; s < n; ++s) {
     // All members of a class must agree on kept-signal values.
     const auto a = g.code_words(s), b = g.code_words(class_rep[proj.state_map[s]]);
@@ -87,18 +95,16 @@ Projection hide_signals(const StateGraph& g, const util::BitVec& hide,
       MPS_ASSERT(((a[wi] ^ b[wi]) & ~hide.words()[wi]) == 0);
     }
     for (const Edge& e : g.out(s)) {
-      if (e.is_silent() || hide.test(e.sig)) continue;
+      if (!is_kept(e)) continue;
       const Edge edge{dense[e.sig], e.rise, proj.state_map[e.to]};
       MPS_ASSERT(proj.state_map[s] != edge.to);  // a kept edge changes a kept signal's value
-      kept_edges.emplace_back(proj.state_map[s], edge);
+      rows[next[proj.state_map[s]]++] = edge;
     }
   }
-  std::stable_sort(kept_edges.begin(), kept_edges.end(),
-                   [](const auto& x, const auto& y) { return x.first < y.first; });
-  for (auto it = kept_edges.begin(), row_begin = it; it != kept_edges.end(); ++it) {
-    if (it->first != row_begin->first) row_begin = it;
-    if (std::find_if(row_begin, it, [&](const auto& x) { return x.second == it->second; }) == it) {
-      proj.graph.add_edge(it->first, it->second);
+  for (StateId c = 0; c < num_classes; ++c) {
+    const auto first = rows.begin() + row_begin[c], last = rows.begin() + row_begin[c + 1];
+    for (auto it = first; it != last; ++it) {
+      if (std::find(first, it, *it) == it) proj.graph.add_edge(c, *it);
     }
   }
   proj.graph.seal();

@@ -66,40 +66,6 @@ std::size_t BitVec::find_next(std::size_t i) const {
   }
 }
 
-bool BitVec::is_subset_of(const BitVec& other) const {
-  MPS_ASSERT(size_ == other.size_);
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-    if ((words_[wi] & ~other.words_[wi]) != 0) return false;
-  }
-  return true;
-}
-
-bool BitVec::intersects(const BitVec& other) const {
-  MPS_ASSERT(size_ == other.size_);
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-    if ((words_[wi] & other.words_[wi]) != 0) return true;
-  }
-  return false;
-}
-
-BitVec& BitVec::operator|=(const BitVec& other) {
-  MPS_ASSERT(size_ == other.size_);
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) words_[wi] |= other.words_[wi];
-  return *this;
-}
-
-BitVec& BitVec::operator&=(const BitVec& other) {
-  MPS_ASSERT(size_ == other.size_);
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) words_[wi] &= other.words_[wi];
-  return *this;
-}
-
-BitVec& BitVec::operator^=(const BitVec& other) {
-  MPS_ASSERT(size_ == other.size_);
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) words_[wi] ^= other.words_[wi];
-  return *this;
-}
-
 BitVec& BitVec::and_not(const BitVec& other) {
   MPS_ASSERT(size_ == other.size_);
   for (std::size_t wi = 0; wi < words_.size(); ++wi) words_[wi] &= ~other.words_[wi];

@@ -3,8 +3,8 @@
 // State codes in this library are short (tens of bits) but are compared
 // millions of times during CSC analysis and logic extraction, so the
 // representation is a flat word array with no virtual dispatch and an
-// explicit hash.  Unlike std::vector<bool> it exposes whole-word operations
-// (popcount, find_first, subset tests) needed by the logic minimizer.
+// explicit hash.  Unlike std::vector<bool> it exposes its words, so hot
+// loops (the logic minimizer's cube tests among them) work a word at a time.
 #pragma once
 
 #include <cstddef>
@@ -68,20 +68,8 @@ class BitVec {
   /// Index of the first set bit strictly after `i`, or npos.
   std::size_t find_next(std::size_t i) const;
 
-  /// True if every set bit of *this is also set in other (sizes must match).
-  bool is_subset_of(const BitVec& other) const;
-  /// True if *this and other share at least one set bit (sizes must match).
-  bool intersects(const BitVec& other) const;
-
-  BitVec& operator|=(const BitVec& other);
-  BitVec& operator&=(const BitVec& other);
-  BitVec& operator^=(const BitVec& other);
   /// this &= ~other
   BitVec& and_not(const BitVec& other);
-
-  friend BitVec operator|(BitVec a, const BitVec& b) { return a |= b; }
-  friend BitVec operator&(BitVec a, const BitVec& b) { return a &= b; }
-  friend BitVec operator^(BitVec a, const BitVec& b) { return a ^= b; }
 
   bool operator==(const BitVec& other) const;
   bool operator!=(const BitVec& other) const { return !(*this == other); }

@@ -54,7 +54,7 @@ bool check_covers(const sg::StateGraph& g,
                                      name.c_str(), it->second.num_vars(), g.num_signals()));
     } else {
       for (sg::StateId st = 0; st < g.num_states(); ++st) {
-        if (it->second.covers_code(g.code(st)) != logic::implied_value(g, st, s)) {
+        if (it->second.covers_code(g.code_words(st)) != logic::implied_value(g, st, s)) {
           issues->push_back("cover of " + name + " violates its ON/OFF spec");
           break;
         }

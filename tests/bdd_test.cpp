@@ -103,7 +103,7 @@ TEST(Bdd, FromCoverMatchesSemantics) {
   for (int x = 0; x < 8; ++x) {
     BitVec assignment(3);
     for (int v = 0; v < 3; ++v) assignment.set(v, (x >> v) & 1);
-    EXPECT_EQ(mgr.eval(f, assignment), cover.covers_code(assignment)) << x;
+    EXPECT_EQ(mgr.eval(f, assignment), cover.covers_code(assignment.words())) << x;
   }
 }
 

@@ -30,12 +30,34 @@ BitVec code(const std::string& bits) {
 TEST(Cube, MintermAndContainment) {
   const Cube m = Cube::minterm(code("101"));
   EXPECT_EQ(m.literal_count(), 3u);
-  EXPECT_TRUE(m.contains_code(code("101")));
-  EXPECT_FALSE(m.contains_code(code("100")));
+  EXPECT_TRUE(m.contains_code(code("101").words()));
+  EXPECT_FALSE(m.contains_code(code("100").words()));
   const Cube u(3);  // universal
   EXPECT_TRUE(u.contains(m));
   EXPECT_FALSE(m.contains(u));
   EXPECT_TRUE(m.contains(m));
+
+  // 70 variables: the care and value rows take two words each.
+  std::string bits(70, '0');
+  bits[3] = bits[63] = bits[64] = bits[69] = '1';
+  const Cube wide = Cube::minterm(code(bits));
+  EXPECT_EQ(wide.literal_count(), 70u);
+  EXPECT_EQ(wide.to_string(), bits);
+  EXPECT_TRUE(wide.contains_code(code(bits).words()));
+  for (const std::size_t v : {0, 63, 64, 69}) {
+    std::string flipped = bits;
+    flipped[v] = flipped[v] == '1' ? '0' : '1';
+    EXPECT_FALSE(wide.contains_code(code(flipped).words())) << v;
+    // The supercube of two minterms frees exactly the variable they differ on.
+    const Cube merged = wide.supercube(Cube::minterm(code(flipped)));
+    EXPECT_EQ(merged.literal_count(), 69u) << v;
+    EXPECT_FALSE(merged.has_literal(v)) << v;
+    EXPECT_TRUE(merged.contains(wide)) << v;
+    EXPECT_FALSE(wide.contains(merged)) << v;
+    EXPECT_TRUE(merged.contains_code(code(flipped).words())) << v;
+  }
+  EXPECT_TRUE(Cube(70).contains(wide));
+  EXPECT_EQ(Cube(70).literal_count(), 0u);
 }
 
 TEST(Cube, FromStringAndToString) {
@@ -52,21 +74,38 @@ TEST(Cube, SetAndFreeLiterals) {
   Cube c(3);
   c.set_literal(1, true);
   EXPECT_TRUE(c.has_literal(1));
-  EXPECT_TRUE(c.contains_code(code("011")));
-  EXPECT_FALSE(c.contains_code(code("001")));
+  EXPECT_TRUE(c.contains_code(code("011").words()));
+  EXPECT_FALSE(c.contains_code(code("001").words()));
   c.free_var(1);
   EXPECT_FALSE(c.has_literal(1));
   EXPECT_EQ(c.literal_count(), 0u);
-}
 
-TEST(Cube, IntersectionAndEmptiness) {
-  const Cube a = Cube::from_string("1--");
-  const Cube b = Cube::from_string("0--");
-  EXPECT_FALSE(a.intersects(b));
-  EXPECT_TRUE(a.intersect(b).is_empty());
-  const Cube c = Cube::from_string("-1-");
-  EXPECT_TRUE(a.intersects(c));
-  EXPECT_EQ(a.intersect(c).to_string(), "11-");
+  // Across the word boundary of a 70-variable cube.
+  Cube w(70);
+  w.set_literal(63, true);
+  w.set_literal(64, false);
+  w.set_literal(69, true);
+  EXPECT_EQ(w.literal_count(), 3u);
+  EXPECT_EQ(w.literal(63), std::optional<bool>(true));
+  EXPECT_EQ(w.literal(64), std::optional<bool>(false));
+  std::string bits(70, '0');
+  bits[63] = bits[69] = '1';
+  EXPECT_TRUE(w.contains_code(code(bits).words()));
+  bits[64] = '1';
+  EXPECT_FALSE(w.contains_code(code(bits).words()));
+  w.set_literal(64, true);  // overwrite the literal's polarity
+  EXPECT_TRUE(w.contains_code(code(bits).words()));
+  w.free_var(64);
+  EXPECT_FALSE(w.has_literal(64));
+  EXPECT_EQ(w.literal_count(), 2u);
+  bits[64] = '0';
+  EXPECT_TRUE(w.contains_code(code(bits).words()));
+  // Freeing a literal leaves the same words as never setting it.
+  Cube expected(70);
+  expected.set_literal(63, true);
+  expected.set_literal(69, true);
+  EXPECT_EQ(w, expected);
+  EXPECT_EQ(w.to_string(), std::string(63, '-') + "1-----1");
 }
 
 TEST(Cube, Supercube) {
@@ -75,25 +114,13 @@ TEST(Cube, Supercube) {
   EXPECT_EQ(a.supercube(b).to_string(), "1-0");
 }
 
-TEST(Cube, DistanceAndConsensus) {
-  const Cube a = Cube::from_string("10-");
-  const Cube b = Cube::from_string("11-");
-  EXPECT_EQ(a.distance(b), 1u);
-  const auto cons = a.consensus(b);
-  ASSERT_TRUE(cons.has_value());
-  EXPECT_EQ(cons->to_string(), "1--");
-  const Cube c = Cube::from_string("01-");
-  EXPECT_EQ(a.distance(c), 2u);
-  EXPECT_FALSE(a.consensus(c).has_value());
-}
-
 TEST(Cover, CoversAndLiteralCount) {
   Cover f(3);
   f.add(Cube::from_string("1--"));
   f.add(Cube::from_string("-11"));
-  EXPECT_TRUE(f.covers_code(code("100")));
-  EXPECT_TRUE(f.covers_code(code("011")));
-  EXPECT_FALSE(f.covers_code(code("001")));
+  EXPECT_TRUE(f.covers_code(code("100").words()));
+  EXPECT_TRUE(f.covers_code(code("011").words()));
+  EXPECT_FALSE(f.covers_code(code("001").words()));
   EXPECT_EQ(f.literal_count(), 3u);
 }
 
@@ -266,7 +293,7 @@ bool scalar_widened_hits_off(const SopSpec& spec, const Cube& cube, std::size_t 
   Cube widened = cube;
   widened.free_var(var);
   for (const auto& code : spec.off) {
-    if (widened.contains_code(code)) return true;
+    if (widened.contains_code(code.words())) return true;
   }
   return false;
 }
@@ -274,9 +301,14 @@ bool scalar_widened_hits_off(const SopSpec& spec, const Cube& cube, std::size_t 
 TEST(Minimize, SlicedExpandMatchesScalarScan) {
   mps::util::Rng rng(2025);
   std::size_t multi_word = 0;
-  for (std::size_t vars = 6; vars <= 17; ++vars) {
+  std::size_t high_literals = 0;  // literals on variables 64 and up
+  std::vector<std::size_t> sizes;
+  for (std::size_t vars = 6; vars <= 17; ++vars) sizes.push_back(vars);
+  sizes.insert(sizes.end(), {70, 130});  // cubes of two and three words per row
+  for (const std::size_t vars : sizes) {
     for (int trial = 0; trial < 2; ++trial) {
-      const std::size_t points = std::min<std::size_t>(std::size_t{1} << vars, 300 + 50 * trial);
+      std::size_t points = 300 + 50 * trial;
+      if (vars < 64) points = std::min(points, std::size_t{1} << vars);
       const SopSpec spec = sparse_spec(rng, vars, points, 0.35);
       if (spec.on.empty()) continue;
       if (spec.off.size() > 64) ++multi_word;
@@ -284,12 +316,15 @@ TEST(Minimize, SlicedExpandMatchesScalarScan) {
       const Cover scalar = heuristic_minimize(
           spec, 4, [&spec](const Cube& c, std::size_t v) { return scalar_widened_hits_off(spec, c, v); });
       EXPECT_EQ(sliced.to_string(), scalar.to_string()) << vars << " vars, trial " << trial;
+      EXPECT_TRUE(cover_is_valid(spec, sliced)) << vars << " vars, trial " << trial;
       for (const Cube& c : sliced.cubes()) {
         EXPECT_TRUE(cube_is_prime(spec, c)) << vars << " vars, trial " << trial;
+        for (std::size_t v = 64; v < vars; ++v) high_literals += c.has_literal(v) ? 1 : 0;
       }
     }
   }
   EXPECT_GE(multi_word, 20u);  // most specs span several 64-bit slice words
+  EXPECT_GT(high_literals, 0u);
 }
 
 TEST(ExactMinimize, RefusesOversizedInstances) {

@@ -62,25 +62,6 @@ TEST(BitVec, FindFirstAndNext) {
   EXPECT_EQ(v.find_next(199), BitVec::npos);
 }
 
-TEST(BitVec, SetOperations) {
-  BitVec a(100);
-  BitVec b(100);
-  a.set(1);
-  a.set(70);
-  b.set(70);
-  b.set(80);
-  EXPECT_TRUE((a & b).test(70));
-  EXPECT_FALSE((a & b).test(1));
-  EXPECT_TRUE((a | b).test(80));
-  EXPECT_TRUE((a ^ b).test(1));
-  EXPECT_FALSE((a ^ b).test(70));
-  EXPECT_TRUE(a.intersects(b));
-  BitVec c(100);
-  c.set(70);
-  EXPECT_TRUE(c.is_subset_of(a));
-  EXPECT_FALSE(a.is_subset_of(c));
-}
-
 TEST(BitVec, AndNot) {
   BitVec a(10);
   a.set(1);

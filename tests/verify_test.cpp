@@ -103,7 +103,7 @@ TEST(Verify, CoverWrongOnOneReachableCodeFlagged) {
       }
       std::unordered_set<std::string> missed;
       for (sg::StateId st = 0; st < g.num_states(); ++st) {
-        if (cover.covers_code(g.code(st)) != dropped.covers_code(g.code(st))) {
+        if (cover.covers_code(g.code_words(st)) != dropped.covers_code(g.code_words(st))) {
           missed.insert(g.code(st).to_string());
         }
       }
