@@ -1,4 +1,4 @@
-// Microbenchmarks of the SAT substrate: encoding construction, DPLL and
+// Microbenchmarks of the SAT substrate: encoding construction, DPLL, CDCL and
 // WalkSAT on the CSC formulas the synthesis flow actually generates.
 #include <benchmark/benchmark.h>
 
@@ -67,6 +67,31 @@ void BM_DpllModuleFormula(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_DpllModuleFormula, mmu1, "mmu1");
 BENCHMARK_CAPTURE(BM_DpllModuleFormula, nak_pa, "nak-pa");
 BENCHMARK_CAPTURE(BM_DpllModuleFormula, sbuf_ram_write, "sbuf-ram-write");
+
+void BM_CdclDirectFormula(benchmark::State& state, const char* name) {
+  // The direct baseline's first formula: the whole graph at the CSC lower
+  // bound, solved by the CDCL engine as the baselines run it.
+  const auto& g = graph_of(name);
+  const auto csc = sg::analyze_csc(g);
+  const encoding::Encoding enc(g, static_cast<std::size_t>(std::max(1, csc.lower_bound)),
+                               csc.conflicts, csc.compatible_pairs);
+  sat::SolveOptions opts;
+  opts.engine = sat::Engine::Cdcl;
+  std::int64_t propagations = 0;
+  for (auto _ : state) {
+    sat::Model model;
+    sat::SolveStats stats;
+    benchmark::DoNotOptimize(sat::Solver().solve(enc.cnf(), &model, &stats, opts));
+    propagations += stats.propagations;
+  }
+  state.counters["clauses"] = static_cast<double>(enc.cnf().num_clauses());
+  state.counters["props_per_s"] =
+      benchmark::Counter(static_cast<double>(propagations), benchmark::Counter::kIsRate);
+}
+// mmu1 is the quick case; nak-pa's formula stores enough learned clauses to
+// run clause-DB reduction and arena compaction.
+BENCHMARK_CAPTURE(BM_CdclDirectFormula, mmu1, "mmu1")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CdclDirectFormula, nak_pa, "nak-pa")->Unit(benchmark::kMillisecond);
 
 void BM_WalkSatRandom3Sat(benchmark::State& state) {
   const int vars = static_cast<int>(state.range(0));

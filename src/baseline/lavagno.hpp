@@ -32,8 +32,9 @@ struct LavagnoOptions {
   bool derive_logic = true;
 };
 
-/// `solver_totals` sums the DPLL effort of every insertion's formula
-/// attempts (walksat successes contribute nothing: no DPLL search ran).
+/// `solver_totals` sums the effort of every insertion's formula attempts
+/// under whichever engine `solve.engine` selects (walksat successes
+/// contribute nothing: no DPLL or CDCL search ran).
 struct LavagnoResult : core::FlowResult {
   int insertions = 0;
 };

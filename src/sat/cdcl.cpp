@@ -6,13 +6,14 @@
 // implication-graph analysis, Chaff (Moskewicz et al.) the watched-literal
 // + VSIDS recipe, Glucose (Audemard & Simon) the LBD quality measure.
 //
-// The search path is pinned, like the DPLL engine's: perfbench's
-// `baselines` workload checks every direct and lavagno row's decisions,
-// propagations, conflicts, restarts and learned-clause counts against
-// BENCH_table1_cdcl.json, so any change to the search (branching, learning,
-// restarts, reduction) fails each row whose solves it touches until that
-// reference is regenerated.  The fuzz harness (tests/sat_fuzz_test.cpp)
-// pins agreement with DPLL on outcomes.
+// The search path is pinned, like the DPLL engine's: the CdclPin test
+// (20 Table-1 specs) and perfbench's `baselines` workload (all 23) check
+// every direct and lavagno row's decisions, propagations, conflicts,
+// restarts and learned-clause counts against BENCH_table1_cdcl.json, so any
+// change to the search (branching, propagation order, learning, restarts,
+// reduction) fails each row whose solves it touches until that reference is
+// regenerated.  The fuzz harness (tests/sat_fuzz_test.cpp) pins agreement
+// with DPLL on outcomes.
 #include "sat/cdcl.hpp"
 
 #include <algorithm>
@@ -47,7 +48,7 @@ class Cdcl {
  public:
   Cdcl(const Cnf& cnf, const SolveOptions& opts) : cnf_(cnf), opts_(opts), heap_(Order{this}) {
     const std::size_t n = cnf.num_vars();
-    assign_.assign(n, kUnassignedValue);
+    lval_.assign(2 * n, kUnassignedValue);
     level_.assign(n, 0);
     reason_.assign(n, kNoClause);
     phase_.assign(n, 0);  // FALSE-first initial phase, like the DPLL engine
@@ -55,7 +56,7 @@ class Cdcl {
     activity_.assign(n, 0.0);
     watches_.assign(2 * n, {});
 
-    arena_.reserve(cnf.num_literals());
+    arena_.reserve(cnf.num_clauses(), cnf.num_literals());
     for (const auto& clause : cnf.clauses()) {
       if (clause.empty()) {
         trivially_unsat_ = true;
@@ -70,7 +71,7 @@ class Cdcl {
       }
       add_clause(clause.data(), clause.size(), /*learned=*/false, /*lbd=*/0);
     }
-    num_problem_clauses_ = static_cast<std::uint32_t>(heads_.size());
+    problem_end_ = arena_.end();
     heap_.build(n);
     // First clause-DB reduction once the learned set rivals the problem
     // itself; the budget doubles (saturating) after every reduction.
@@ -88,7 +89,7 @@ class Cdcl {
     if (outcome == Outcome::Sat && model != nullptr) {
       shrink_model_toward_false();
       model->assign(cnf_.num_vars(), false);
-      for (Var v = 0; v < cnf_.num_vars(); ++v) (*model)[v] = assign_[v] == 1;
+      for (Var v = 0; v < cnf_.num_vars(); ++v) (*model)[v] = value_true(pos(v));
     }
     if (stats != nullptr) {
       stats->decisions = decisions_;
@@ -103,39 +104,35 @@ class Cdcl {
   }
 
  private:
-  /// Arena clause header; LBD ("glue") recorded for learned clauses drives
-  /// DB reduction.
-  struct Head {
-    std::uint32_t offset;
-    std::uint32_t size;
-    std::uint32_t lbd;
-    bool learned;
-  };
+  /// Each clause's one extra header word is its LBD ("glue"), which drives
+  /// DB reduction (0 for problem clauses); reduce_db() overwrites it with
+  /// kDropped to mark a clause for removal.
+  using Arena = ClauseArena<2>;
+  static constexpr std::uint32_t kDropped = 0xFFFFFFFFu;
 
-  bool value_true(Lit l) const { return assign_[l.var()] == (l.negated() ? 0 : 1); }
-  bool value_false(Lit l) const { return assign_[l.var()] == (l.negated() ? 1 : 0); }
-  bool unassigned(Lit l) const { return assign_[l.var()] == kUnassignedValue; }
+  bool value_true(Lit l) const { return lval_[l.x] == 1; }
+  bool value_false(Lit l) const { return lval_[l.x] == 0; }
+  bool unassigned(Lit l) const { return lval_[l.x] == kUnassignedValue; }
 
   int current_level() const { return static_cast<int>(trail_lim_.size()); }
 
   std::uint32_t add_clause(const Lit* lits, std::size_t size, bool learned, std::uint32_t lbd) {
-    const std::uint32_t ci = static_cast<std::uint32_t>(heads_.size());
-    heads_.push_back({static_cast<std::uint32_t>(arena_.size()),
-                      static_cast<std::uint32_t>(size), lbd, learned});
-    arena_.insert(arena_.end(), lits, lits + size);
-    watches_[lits[0].x].push_back({ci, lits[1]});
-    watches_[lits[1].x].push_back({ci, lits[0]});
-    if (learned) learned_idx_.push_back(ci);
-    return ci;
+    const std::uint32_t cr = arena_.add(lits, size);
+    arena_.extra(cr) = lbd;
+    watches_[lits[0].x].push_back({cr, lits[1]});
+    watches_[lits[1].x].push_back({cr, lits[0]});
+    if (learned) learned_.push_back(cr);
+    return cr;
   }
 
   /// Put `l` on the trail at the current level; false if it contradicts the
   /// current assignment.
   bool enqueue(Lit l, std::uint32_t reason) {
-    if (value_false(l)) return false;
-    if (value_true(l)) return true;
+    const std::int8_t value = lval_[l.x];
+    if (value != kUnassignedValue) return value == 1;
+    lval_[l.x] = 1;
+    lval_[(~l).x] = 0;
     const Var v = l.var();
-    assign_[v] = l.negated() ? 0 : 1;
     level_[v] = current_level();
     reason_[v] = reason;
     trail_.push_back(l);
@@ -143,7 +140,7 @@ class Cdcl {
   }
 
   /// Two-watched-literal unit propagation with implication recording.
-  /// Returns the conflicting clause index, or kNoClause.
+  /// Returns the conflicting clause, or kNoClause.
   std::uint32_t propagate() {
     while (qhead_ < trail_.size()) {
       const Lit p = trail_[qhead_++];
@@ -158,15 +155,15 @@ class Cdcl {
           watch_list[keep++] = w;
           continue;
         }
-        // Plain blocker fast path (unlike the DPLL engine there is no
-        // reference search path to preserve, so a possibly-stale true
-        // blocker may short-circuit).
+        // Plain blocker fast path: a true blocker short-circuits even when
+        // it has left the watched pair.  The DPLL engine's stricter test
+        // would visit other clauses and change this search, which
+        // BENCH_table1_cdcl.json pins as it is.
         if (value_true(w.blocker)) {
           watch_list[keep++] = w;
           continue;
         }
-        const Head h = heads_[w.clause];
-        Lit* lits = arena_.data() + h.offset;
+        const std::span<Lit> lits = arena_.clause(w.clause);
         if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
         const Lit first = lits[0];
         if (value_true(first)) {
@@ -174,7 +171,7 @@ class Cdcl {
           continue;
         }
         bool moved = false;
-        for (std::uint32_t k = 2; k < h.size; ++k) {
+        for (std::size_t k = 2; k < lits.size(); ++k) {
           if (!value_false(lits[k])) {
             std::swap(lits[1], lits[k]);
             watches_[lits[1].x].push_back({w.clause, first});
@@ -198,9 +195,11 @@ class Cdcl {
     if (current_level() <= lvl) return;
     const std::size_t target = trail_lim_[lvl];
     for (std::size_t i = trail_.size(); i-- > target;) {
-      const Var v = trail_[i].var();
-      phase_[v] = assign_[v];
-      assign_[v] = kUnassignedValue;
+      const Lit l = trail_[i];
+      const Var v = l.var();
+      phase_[v] = l.negated() ? 0 : 1;
+      lval_[l.x] = kUnassignedValue;
+      lval_[(~l).x] = kUnassignedValue;
       reason_[v] = kNoClause;
       heap_.insert(v);
     }
@@ -231,9 +230,7 @@ class Cdcl {
 
     for (;;) {
       MPS_ASSERT(confl != kNoClause);
-      const Head h = heads_[confl];
-      for (std::uint32_t k = 0; k < h.size; ++k) {
-        const Lit q = arena_[h.offset + k];
+      for (const Lit q : arena_.clause(confl)) {
         if (p.valid() && q.var() == p.var()) continue;  // the resolved-on literal
         const Var v = q.var();
         if (seen_[v] == 0 && level_[v] > 0) {
@@ -270,9 +267,7 @@ class Cdcl {
       const std::uint32_t r = reason_[q.var()];
       bool redundant = r != kNoClause;
       if (redundant) {
-        const Head rh = heads_[r];
-        for (std::uint32_t k = 0; k < rh.size; ++k) {
-          const Lit x = arena_[rh.offset + k];
+        for (const Lit x : arena_.clause(r)) {
           if (x.var() == q.var()) continue;
           if (level_[x.var()] > 0 && seen_[x.var()] == 0) {
             redundant = false;
@@ -316,59 +311,42 @@ class Cdcl {
 
   /// LBD-based clause-DB reduction with arena compaction.  Only ever called
   /// at decision level 0, where no reason references a stored clause (level-0
-  /// implications are never resolved on), so clause indices are free to be
-  /// reassigned: survivors are copied into a fresh arena and the watch lists
-  /// rebuilt from scratch with normalized (non-false-first) watch positions.
+  /// implications are never resolved on), so clause references are free to
+  /// move: survivors slide down in place and the watch lists are rebuilt
+  /// from scratch with normalized (non-false-first) watch positions.
   void reduce_db() {
     MPS_ASSERT(current_level() == 0);
-    ++reductions_;
     // Rank learned clauses: glue clauses (LBD <= 2) are always kept, the
     // better (lower-LBD, then shorter) half of the rest survives.
     std::vector<std::uint32_t> removable;
-    removable.reserve(learned_idx_.size());
-    for (const std::uint32_t ci : learned_idx_) {
-      if (heads_[ci].lbd > 2) removable.push_back(ci);
+    removable.reserve(learned_.size());
+    for (const std::uint32_t cr : learned_) {
+      if (arena_.extra(cr) > 2) removable.push_back(cr);
     }
     std::sort(removable.begin(), removable.end(), [&](std::uint32_t a, std::uint32_t b) {
-      if (heads_[a].lbd != heads_[b].lbd) return heads_[a].lbd < heads_[b].lbd;
-      if (heads_[a].size != heads_[b].size) return heads_[a].size < heads_[b].size;
+      if (arena_.extra(a) != arena_.extra(b)) return arena_.extra(a) < arena_.extra(b);
+      if (arena_.size(a) != arena_.size(b)) return arena_.size(a) < arena_.size(b);
       return a > b;  // prefer younger clauses on ties
     });
-    const std::size_t keep = removable.size() / 2;
-    std::vector<char> drop(heads_.size(), 0);
-    for (std::size_t i = keep; i < removable.size(); ++i) drop[removable[i]] = 1;
+    for (std::size_t i = removable.size() / 2; i < removable.size(); ++i) {
+      arena_.extra(removable[i]) = kDropped;
+    }
 
-    // Compact: problem clauses keep their order at the front, surviving
-    // learned clauses follow.  Reasons are all kNoClause at level 0, so no
-    // index remapping is needed anywhere but learned_idx_.
-    std::vector<Lit> new_arena;
-    new_arena.reserve(arena_.size());
-    std::vector<Head> new_heads;
-    new_heads.reserve(heads_.size());
-    for (std::uint32_t ci = 0; ci < heads_.size(); ++ci) {
-      if (drop[ci]) continue;
-      const Head h = heads_[ci];
-      new_heads.push_back({static_cast<std::uint32_t>(new_arena.size()), h.size, h.lbd,
-                           h.learned});
-      new_arena.insert(new_arena.end(), arena_.begin() + h.offset,
-                       arena_.begin() + h.offset + h.size);
-    }
-    arena_ = std::move(new_arena);
-    heads_ = std::move(new_heads);
-    learned_idx_.clear();
-    for (std::uint32_t ci = num_problem_clauses_; ci < heads_.size(); ++ci) {
-      learned_idx_.push_back(ci);
-    }
+    // Compact: problem clauses keep their place at the front, surviving
+    // learned clauses follow in their old order.  Reasons are all kNoClause
+    // at level 0, so only learned_ and the watches hold references.
+    arena_.erase_if([&](std::uint32_t cr) { return arena_.extra(cr) == kDropped; });
+    learned_.clear();
 
     // Rebuild watches with the level-0 invariant restored: watch two
     // non-false literals where they exist; a clause unit under the level-0
     // assignment enqueues its literal (permanently true from here on).
     for (auto& wl : watches_) wl.clear();
-    for (std::uint32_t ci = 0; ci < heads_.size(); ++ci) {
-      const Head h = heads_[ci];
-      Lit* lits = arena_.data() + h.offset;
+    for (std::uint32_t cr = 0; cr != arena_.end(); cr = arena_.next(cr)) {
+      if (cr >= problem_end_) learned_.push_back(cr);
+      const std::span<Lit> lits = arena_.clause(cr);
       std::uint32_t nonfalse = 0;
-      for (std::uint32_t k = 0; k < h.size && nonfalse < 2; ++k) {
+      for (std::size_t k = 0; k < lits.size() && nonfalse < 2; ++k) {
         if (!value_false(lits[k])) std::swap(lits[nonfalse++], lits[k]);
       }
       MPS_ASSERT(nonfalse > 0);  // a falsified clause would have ended the search
@@ -376,8 +354,8 @@ class Cdcl {
         const bool ok = enqueue(lits[0], kNoClause);
         MPS_ASSERT(ok);
       }
-      watches_[lits[0].x].push_back({ci, lits[1]});
-      watches_[lits[1].x].push_back({ci, lits[0]});
+      watches_[lits[0].x].push_back({cr, lits[1]});
+      watches_[lits[1].x].push_back({cr, lits[0]});
     }
     qhead_ = 0;  // replay level-0 propagation against the rebuilt watches
   }
@@ -404,19 +382,20 @@ class Cdcl {
       }
     }
     for (Var v = 0; v < cnf_.num_vars(); ++v) {
-      if (assign_[v] != 1) continue;
-      const Lit pos = Lit::make(v, false);
+      const Lit p = pos(v);
+      if (!value_true(p)) continue;
       bool needed = false;
-      for (const std::uint32_t ci : occ[pos.x]) {
+      for (const std::uint32_t ci : occ[p.x]) {
         if (true_count[ci] < 2) {
           needed = true;
           break;
         }
       }
       if (needed) continue;
-      assign_[v] = 0;
-      for (const std::uint32_t ci : occ[pos.x]) --true_count[ci];
-      for (const std::uint32_t ci : occ[Lit::make(v, true).x]) ++true_count[ci];
+      lval_[p.x] = 0;
+      lval_[(~p).x] = 1;
+      for (const std::uint32_t ci : occ[p.x]) --true_count[ci];
+      for (const std::uint32_t ci : occ[(~p).x]) ++true_count[ci];
     }
   }
 
@@ -426,7 +405,7 @@ class Cdcl {
     for (;;) {
       const Var v = heap_.pop();
       if (v == kNoVar) return Lit{};
-      if (assign_[v] == kUnassignedValue) return phased(v);
+      if (unassigned(pos(v))) return phased(v);
     }
   }
 
@@ -458,8 +437,8 @@ class Cdcl {
           const bool ok = enqueue(learnt[0], kNoClause);
           MPS_ASSERT(ok);
         } else {
-          const std::uint32_t ci = add_clause(learnt.data(), learnt.size(), true, lbd);
-          const bool ok = enqueue(learnt[0], ci);
+          const std::uint32_t cr = add_clause(learnt.data(), learnt.size(), true, lbd);
+          const bool ok = enqueue(learnt[0], cr);
           MPS_ASSERT(ok);
         }
         ++learned_total_;
@@ -473,7 +452,7 @@ class Cdcl {
       const bool restart_due =
           opts_.restart_interval > 0 && conflicts_since_restart >= restart_budget;
       const bool reduce_due =
-          static_cast<std::int64_t>(learned_idx_.size()) >= reduce_budget_;
+          static_cast<std::int64_t>(learned_.size()) >= reduce_budget_;
       if (restart_due || reduce_due) {
         backjump_to(0);
         if (reduce_due) {
@@ -511,13 +490,12 @@ class Cdcl {
   const SolveOptions& opts_;
   bool trivially_unsat_ = false;
 
-  std::vector<Lit> arena_;
-  std::vector<Head> heads_;
-  std::uint32_t num_problem_clauses_ = 0;
-  std::vector<std::uint32_t> learned_idx_;  // indices of stored learned clauses
+  Arena arena_;
+  std::uint32_t problem_end_ = 0;           // arena offset where learned clauses start
+  std::vector<std::uint32_t> learned_;      // references of stored learned clauses
   std::vector<std::vector<Watch>> watches_;  // indexed by Lit.x
 
-  std::vector<std::int8_t> assign_;
+  std::vector<std::int8_t> lval_;  // per literal (Lit.x): 1 true, 0 false, or unassigned
   std::vector<std::int32_t> level_;
   std::vector<std::uint32_t> reason_;
   std::vector<std::int8_t> phase_;  // saved polarity per var (0 initial)
@@ -535,7 +513,6 @@ class Cdcl {
   std::uint64_t lbd_stamp_counter_ = 0;
 
   std::int64_t reduce_budget_ = 2000;
-  std::int64_t reductions_ = 0;
 
   std::int64_t decisions_ = 0;
   std::int64_t backtracks_ = 0;

@@ -1,13 +1,18 @@
-// Engine-shared SAT substrate: the contiguous clause arena layout, the
-// blocker-carrying watch entry, and the lazy variable-order max-heap that
-// both search loops (the DPLL reference in solver.cpp and the CDCL engine
-// in cdcl.cpp) are built on.  Header-only; everything here is layout and
-// mechanism — policy (when to bump, what key to order by, how to restart)
-// stays with the engines.
+// Engine-shared SAT substrate: the clause arena, the blocker-carrying watch
+// entry, and the lazy variable-order max-heap that both search loops (the
+// DPLL reference in solver.cpp and the CDCL engine in cdcl.cpp) are built
+// on.  Header-only; everything here is layout and mechanism — policy (when
+// to bump, what key to order by, which clauses to drop) stays with the
+// engines.  Each clause's header sits inline before its literals (slot 0
+// the size; the CDCL engine's LBD in slot 1), and a clause reference is the
+// header's offset, so the watch loop needs no separate header table
+// (DESIGN.md "Clause arena").  References grow in insertion order.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "sat/cnf.hpp"
@@ -17,13 +22,56 @@ namespace mps::sat {
 constexpr std::int8_t kUnassignedValue = -1;
 constexpr std::uint32_t kNoClause = 0xFFFFFFFFu;
 
-/// Clause `ci` is arena[offset .. offset+size).
-struct ClauseHead {
-  std::uint32_t offset;
-  std::uint32_t size;
+/// Clauses stored inline in one Lit array: [Lit{size}, extra..., lits...],
+/// with `kHeader` header slots per clause.  References are header offsets;
+/// erase_if() invalidates them all.
+template <std::uint32_t kHeader>
+class ClauseArena {
+ public:
+  void reserve(std::size_t clauses, std::size_t literals) {
+    slots_.reserve(clauses * kHeader + literals);
+  }
+
+  /// Append a clause; returns its reference.  Extra header slots start at 0.
+  std::uint32_t add(const Lit* lits, std::size_t size) {
+    const auto ref = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Lit{static_cast<std::uint32_t>(size)});
+    slots_.insert(slots_.end(), kHeader - 1, Lit{0});
+    slots_.insert(slots_.end(), lits, lits + size);
+    return ref;
+  }
+
+  std::uint32_t size(std::uint32_t ref) const { return slots_[ref].x; }
+  std::span<Lit> clause(std::uint32_t ref) { return {slots_.data() + ref + kHeader, size(ref)}; }
+  /// The engine's own word in header slot 1.
+  std::uint32_t& extra(std::uint32_t ref) {
+    static_assert(kHeader >= 2, "no extra header slot");
+    return slots_[ref + 1].x;
+  }
+
+  /// Walk clauses in insertion order: for (r = 0; r != end(); r = next(r)).
+  std::uint32_t end() const { return static_cast<std::uint32_t>(slots_.size()); }
+  std::uint32_t next(std::uint32_t ref) const { return ref + kHeader + size(ref); }
+
+  /// Drop every clause whose (old, ascending) reference satisfies `drop`;
+  /// survivors slide down in place, in order, their literals untouched.
+  template <class Drop>
+  void erase_if(Drop drop) {
+    std::uint32_t out = 0;
+    for (std::uint32_t ref = 0, len = 0; ref != end(); ref += len) {
+      len = kHeader + size(ref);
+      if (drop(ref)) continue;
+      if (out != ref) std::copy_n(slots_.begin() + ref, len, slots_.begin() + out);
+      out += len;
+    }
+    slots_.resize(out);
+  }
+
+ private:
+  std::vector<Lit> slots_;
 };
 
-/// One watch-list entry: clause index plus a cached literal of that clause
+/// One watch-list entry: clause reference plus a cached literal of that clause
 /// (the other watched literal at the time the entry was written); a true
 /// blocker lets the propagator skip the normalize-and-scan protocol.
 struct Watch {

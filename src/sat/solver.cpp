@@ -16,9 +16,10 @@ namespace {
 /// Internal DPLL state for one solve() call.
 ///
 /// Hot-path layout (DESIGN.md "Hot paths"):
-///   * Clauses live in one contiguous Lit arena (`arena_`) addressed by
-///     per-clause {offset, size} headers — no per-clause vector, no pointer
-///     chasing, and the watch-move scan walks a flat buffer.
+///   * Clauses live in one contiguous Lit arena (`arena_`), each as its size
+///     followed by its literals, addressed by the size slot's offset — no
+///     per-clause vector, no header table, and the watch-move scan walks a
+///     flat buffer.
 ///   * Watch entries carry a blocker literal (MiniSat-style): a clause whose
 ///     cached blocker is true and still watched is kept without running the
 ///     normalize-and-scan protocol (the stricter still-watched condition is
@@ -45,7 +46,7 @@ class Dpll {
 
     // Copy clauses into the arena, set up watches; unit clauses go straight
     // on the trail.
-    arena_.reserve(cnf.num_literals());
+    arena_.reserve(cnf.num_clauses(), cnf.num_literals());
     for (const auto& clause : cnf.clauses()) {
       if (clause.empty()) {
         trivially_unsat_ = true;
@@ -58,12 +59,9 @@ class Dpll {
         }
         continue;
       }
-      const std::uint32_t ci = static_cast<std::uint32_t>(heads_.size());
-      heads_.push_back({static_cast<std::uint32_t>(arena_.size()),
-                        static_cast<std::uint32_t>(clause.size())});
-      arena_.insert(arena_.end(), clause.begin(), clause.end());
-      watches_[clause[0].x].push_back({ci, clause[1]});
-      watches_[clause[1].x].push_back({ci, clause[0]});
+      const std::uint32_t cr = arena_.add(clause.data(), clause.size());
+      watches_[clause[0].x].push_back({cr, clause[1]});
+      watches_[clause[1].x].push_back({cr, clause[0]});
       // Static branching score: short clauses weigh more (Jeroslow-Wang).
       const double w = std::pow(2.0, -static_cast<double>(clause.size()));
       for (const Lit l : clause) score_[l.var()] += w;
@@ -97,7 +95,6 @@ class Dpll {
  private:
   bool value_true(Lit l) const { return assign_[l.var()] == (l.negated() ? 0 : 1); }
   bool value_false(Lit l) const { return assign_[l.var()] == (l.negated() ? 1 : 0); }
-  bool unassigned(Lit l) const { return assign_[l.var()] == kUnassignedValue; }
 
   /// Put `l` on the trail; false if it contradicts the current assignment.
   bool enqueue(Lit l) {
@@ -140,8 +137,7 @@ class Dpll {
           watch_list[keep++] = w;
           continue;
         }
-        const ClauseHead h = heads_[w.clause];
-        Lit* lits = arena_.data() + h.offset;
+        const std::span<Lit> lits = arena_.clause(w.clause);
         // Blocker fast path: the cached literal is true AND still one of the
         // two watched positions — then it is the *other* watched literal
         // (the false one is being visited), the clause is satisfied, and the
@@ -163,7 +159,7 @@ class Dpll {
         }
         // Look for a replacement watch.
         bool moved = false;
-        for (std::uint32_t k = 2; k < h.size; ++k) {
+        for (std::size_t k = 2; k < lits.size(); ++k) {
           if (!value_false(lits[k])) {
             std::swap(lits[1], lits[k]);
             watches_[lits[1].x].push_back({w.clause, first});
@@ -241,9 +237,8 @@ class Dpll {
   /// the original SIS solver.
   void bump_conflict_activity() {
     if (conflict_clause_ == kNoClause) return;
-    const ClauseHead h = heads_[conflict_clause_];
-    for (std::uint32_t k = 0; k < h.size; ++k) {
-      const Var v = arena_[h.offset + k].var();
+    for (const Lit l : arena_.clause(conflict_clause_)) {
+      const Var v = l.var();
       activity_[v] += activity_inc_;
       heap_.increased(v);
     }
@@ -324,8 +319,7 @@ class Dpll {
   const SolveOptions& opts_;
   bool trivially_unsat_ = false;
 
-  std::vector<Lit> arena_;
-  std::vector<ClauseHead> heads_;
+  ClauseArena<1> arena_;
   std::vector<std::vector<Watch>> watches_;  // indexed by Lit.x
   std::vector<std::int8_t> assign_;
   std::vector<Lit> trail_;

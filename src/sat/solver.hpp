@@ -64,7 +64,9 @@ struct SolveOptions {
   /// completeness — a run that ends by exhausting the search space still
   /// reports Unsat.
   std::int64_t restart_interval = 256;
-  /// Seed for branching tie randomization (restarts explore new regions).
+  /// Seed for the DPLL engine's occasional random branch decisions
+  /// (restarts explore new regions).  The CDCL engine never reads it: its
+  /// branching is fully determined by the formula.
   std::uint64_t seed = 0x9E3779B9;
   /// Test/reference hook: select branch variables with the original O(#vars)
   /// linear scan instead of the variable-order heap.  Both maximize the same

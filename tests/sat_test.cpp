@@ -545,10 +545,18 @@ TEST(Cdcl, ClauseDatabaseReductionUnderSustainedConflicts) {
   // count past the first reduction budget (max(2000, #clauses/2) = 2000),
   // exercising the LBD-based reduce + arena compaction path on a formula
   // whose answer is known.  Learned-total > 2000 implies at least one
-  // reduction fired (units aside, every learned clause is stored).
+  // reduction fired (units aside, every learned clause is stored).  The
+  // exact counters pin the search through that reduction: a compaction that
+  // reorders clauses or their literals changes the watches rebuilt after it.
   SolveStats stats;
   ASSERT_EQ(Solver().solve(pigeonhole(8, 7), nullptr, &stats, cdcl_opts()), Outcome::Unsat);
   EXPECT_GT(stats.learned, 2000);
+  EXPECT_EQ(stats.decisions, 4904);
+  EXPECT_EQ(stats.propagations, 58102);
+  EXPECT_EQ(stats.conflicts, 4120);
+  EXPECT_EQ(stats.backtracks, 4119);
+  EXPECT_EQ(stats.restarts, 10);
+  EXPECT_EQ(stats.learned, 4119);
 }
 
 TEST(Cdcl, SatModelsCarryNoGratuitousTrueAssignments) {
